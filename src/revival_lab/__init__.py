@@ -14,7 +14,8 @@ from .graphs import (Graph, Partition, WeightedGraph, build_path,
                      symmetrized_quotient)
 from .spectral import (SpectralDecomposition, StellarExact, TransitionMatrix,
                        char_poly_suite, decompose, exact_char_poly,
-                       spectral_report, stellar_decompose, transition_matrix)
+                       spectral_report, stellar_decompose, transition_matrix,
+                       transition_rows)
 from .states import (StateMatrix, SupportGraph, average_state,
                      eigenvalue_support, is_periodic, subset_state,
                      support_divisibility_check, support_graph,
@@ -31,4 +32,4 @@ from .transfer import (PolygamyReport, SubsetTransferReport,
                        induced_cospectrality, induced_transfer_check,
                        polygamy_witness)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

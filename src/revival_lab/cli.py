@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import graphs, revival, spectral, states, stellar, transfer
@@ -189,9 +187,8 @@ def cmd_family(args, out) -> int:
                     continue
     if args.count is not None:
         triples = triples[:args.count]
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        for doc in pool.map(_family_line, triples):
-            out.write(json.dumps(doc) + "\n")
+    for triple in triples:
+        out.write(json.dumps(_family_line(triple)) + "\n")
     return 0
 
 
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "state transfer in continuous quantum walks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False, time=False):
+    def common(p, pair=False, time=False, formats=("json", "csv", "text")):
         p.add_argument("--graph", help="graph file (JSON or graph6)")
         p.add_argument("--stellar", help="fused-star parameters a,k,c")
         if pair:
@@ -267,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float,
                        default=float(os.environ.get("REVIVAL_LAB_TOL",
                                                     DEFAULT_TOL)))
-        p.add_argument("--format", choices=["json", "csv", "dot", "text"],
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("analyze", help="certify FR on a vertex pair")
     common(p, pair=True, time=True)
@@ -285,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use beta = factor * alpha")
     p.add_argument("--polygamy", help='r value or range "1..3"')
     p.add_argument("--count", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored; lines are computed one after another")
     p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("product", help="polygamy witness on K2 x X(a,k,c)")
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="target subset, e.g. 2,5")
 
     p = sub.add_parser("export", help="emit graph JSON/DOT or support DOT")
-    common(p)
+    common(p, formats=("json", "csv", "dot", "text"))
     p.add_argument("--state", help="vertex subset for the support graph")
     return parser
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
-from .exact import (QuadraticValue, rationalize, square_free_part,
-                    two_adic_valuation)
-from .spectral import SpectralDecomposition, transition_matrix
+from .exact import rationalize, square_free_part, two_adic_valuation
+from .spectral import SpectralDecomposition, transition_rows
 
 SUPPORT_TOL = 1e-8
 PARALLEL_TOL = 1e-9
+COSPECTRAL_TOL = 1e-9
 INTEGRALITY_TOL = 1e-7
 GAMMA_RESIDUAL_TOL = 1e-7
 
@@ -87,22 +86,45 @@ class RevivalCertificate:
         }
 
 
+def _cospectral(blocks: np.ndarray, tol: float) -> bool:
+    return bool((abs(blocks[:, 0, 0] - blocks[:, 1, 1]) < tol).all())
+
+
+def _parallel(blocks: np.ndarray, tol: float) -> bool:
+    dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    return bool((abs(dets) <= tol).all())
+
+
+def _gamma(D: SpectralDecomposition, blocks: np.ndarray, a: int, b: int,
+           tol: float) -> Fraction | None:
+    if D.exact is not None and (a, b) in ((0, 1), (1, 0)):
+        ex = D.exact
+        gamma = Fraction(ex.a - ex.c, ex.k)
+        return gamma if (a, b) == (0, 1) else -gamma
+    off = blocks[:, 0, 1]
+    diff = blocks[:, 0, 0] - blocks[:, 1, 1]
+    small = abs(off) <= SUPPORT_TOL * max(float(abs(off).max()), 1.0)
+    if (abs(diff[small]) > tol).any():
+        return None
+    ratios = diff[~small] / off[~small]
+    if not ratios.size:
+        # no off-diagonal weight anywhere: degenerate, treat as cospectral
+        return Fraction(0)
+    if (abs(ratios - ratios[0]) > tol).any():
+        return None
+    return rationalize(float(ratios[0]), tol=tol)
+
+
 def are_cospectral(D: SpectralDecomposition, a: int, b: int,
-                   tol: float = 1e-9) -> bool:
+                   tol: float = COSPECTRAL_TOL) -> bool:
     """(E_r)_{a,a} = (E_r)_{b,b} for every projector."""
-    return all(abs(E[a, a] - E[b, b]) < tol for E in D.projectors)
+    return _cospectral(D.pair_blocks(a, b), tol)
 
 
 def are_parallel(D: SpectralDecomposition, a: int, b: int,
                  tol: float = PARALLEL_TOL) -> bool:
     """Every projector restricted to {a, b} has rank at most 1."""
-    if a == b:
-        return True
-    for E in D.projectors:
-        det = E[a, a] * E[b, b] - E[a, b] * E[b, a]
-        if abs(det) > tol:
-            return False
-    return True
+    return a == b or _parallel(D.pair_blocks(a, b), tol)
 
 
 def fractional_cospectrality(D: SpectralDecomposition, a: int, b: int,
@@ -113,35 +135,16 @@ def fractional_cospectrality(D: SpectralDecomposition, a: int, b: int,
     Exact-quadratic decompositions of the fused-star family give gamma
     exactly for the pair (0, 1).
     """
-    if D.exact is not None and (a, b) in ((0, 1), (1, 0)):
-        ex = D.exact
-        gamma = Fraction(ex.a - ex.c, ex.k)
-        return gamma if (a, b) == (0, 1) else -gamma
-    off_scale = max(abs(E[a, b]) for E in D.projectors)
-    ratio = None
-    for E in D.projectors:
-        if abs(E[a, b]) <= SUPPORT_TOL * max(off_scale, 1.0):
-            if abs(E[a, a] - E[b, b]) > tol:
-                return None
-            continue
-        r = (E[a, a] - E[b, b]) / E[a, b]
-        if ratio is None:
-            ratio = r
-        elif abs(r - ratio) > tol:
-            return None
-    if ratio is None:
-        # no off-diagonal weight anywhere: degenerate, treat as cospectral
-        return Fraction(0)
-    return rationalize(ratio, tol=tol)
+    return _gamma(D, D.pair_blocks(a, b), a, b, tol)
 
 
 def _support_indices(D: SpectralDecomposition, a: int, b: int,
-                     tol: float) -> list[int]:
-    out = []
-    for r, E in enumerate(D.projectors):
-        if np.abs(E[:, a]).max() > tol or np.abs(E[:, b]).max() > tol:
-            out.append(r)
-    return out
+                     tol: float) -> np.ndarray:
+    """Eigenvalue indices r with E_r e_a or E_r e_b above tol."""
+    V = D.vectors
+    # entry [i, v, r] is (E_r)_{v, a} for i = 0 and (E_r)_{v, b} for i = 1
+    columns = np.add.reduceat(V * V[[a, b], None, :], D.bounds[:-1], axis=2)
+    return np.flatnonzero(abs(columns).max(axis=(0, 1)) > tol)
 
 
 def _integer_of(x: float, tol: float) -> int | None:
@@ -172,19 +175,6 @@ def _class_delta_and_ms(thetas: list[float], tol: float) -> tuple[int | None, li
     return delta, ms
 
 
-def _connected(A: np.ndarray) -> bool:
-    n = A.shape[0]
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(np.abs(A[v]) > 0.5)[0]:
-            if int(w) not in seen:
-                seen.add(int(w))
-                stack.append(int(w))
-    return len(seen) == n
-
-
 def certify_fr(D: SpectralDecomposition, a: int, b: int,
                support_tol: float = SUPPORT_TOL) -> RevivalCertificate:
     """Evaluate the exact characterization of proper fractional revival.
@@ -195,31 +185,30 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
     """
     if a == b:
         raise ValueError("vertex pair must be distinct")
-    if not _connected(np.round(D.adjacency())):
+    if not D.connected:
         raise ValueError("certification requires a connected graph")
     warnings: list[str] = []
 
-    parallel = are_parallel(D, a, b)
-    gamma = fractional_cospectrality(D, a, b)
+    blocks = D.pair_blocks(a, b)
+    parallel = _parallel(blocks, PARALLEL_TOL)
+    gamma = _gamma(D, blocks, a, b, GAMMA_RESIDUAL_TOL)
     commutative = gamma is not None
     if not commutative:
         warnings.append("no consistent rational gamma found")
-    cospectral = are_cospectral(D, a, b)
+    cospectral = _cospectral(blocks, COSPECTRAL_TOL)
 
     support = _support_indices(D, a, b, support_tol)
-    c_plus_idx = [r for r in support if D.projectors[r][a, b] > support_tol]
-    c_minus_idx = [r for r in support if D.projectors[r][a, b] < -support_tol]
-    classified = set(c_plus_idx) | set(c_minus_idx)
-    unclassified = [r for r in support if r not in classified]
-    c_plus = tuple(D.eigenvalues[r] for r in c_plus_idx)
-    c_minus = tuple(D.eigenvalues[r] for r in c_minus_idx)
+    off = blocks[support, 0, 1]
+    c_plus = tuple(D.eigenvalues[r] for r in support[off > support_tol])
+    c_minus = tuple(D.eigenvalues[r] for r in support[off < -support_tol])
+    unclassified = len(c_plus) + len(c_minus) < len(support)
 
     def result(verdict: str, delta=None, g=None, tau=None, two_adic=None):
         return RevivalCertificate((a, b), parallel, commutative, gamma,
                                   cospectral, c_plus, c_minus, delta, g, tau,
                                   verdict, two_adic, tuple(warnings))
 
-    if not (parallel and commutative) or not c_plus_idx or not c_minus_idx \
+    if not (parallel and commutative) or not c_plus or not c_minus \
             or unclassified:
         return result("none")
 
@@ -284,15 +273,12 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
 def verify_fr_at(D: SpectralDecomposition, a: int, b: int, t: float,
                  tol: float = 1e-8) -> FRObservation:
     """Measure off-block leakage and cross amplitude of U(t) at {a, b}."""
-    U = transition_matrix(D, t).entries
-    others = [v for v in range(D.n) if v not in (a, b)]
-    if others:
-        off = max(float(np.abs(U[a, others]).max()),
-                  float(np.abs(U[b, others]).max()))
-    else:
-        off = 0.0
-    block = U[np.ix_([a, b], [a, b])]
-    return FRObservation(float(t), off, float(abs(U[a, b])), block)
+    rows = transition_rows(D, [a, b], t)
+    block = rows[:, [a, b]]
+    leak = np.abs(rows)
+    leak[:, [a, b]] = 0.0
+    return FRObservation(float(t), float(leak.max()), float(abs(block[0, 1])),
+                         block)
 
 
 def support_structure_check(D: SpectralDecomposition, a: int, b: int,

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .exact import (QuadraticValue, charpoly_int, poly_mul, square_free_part)
+from .exact import QuadraticValue, charpoly_int, square_free_part
 from .graphs import Graph, build_stellar
 
 DEFAULT_GROUPING_TOL = 1e-9
@@ -44,11 +45,18 @@ class StellarExact:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with orthogonal projectors."""
+    """Distinct eigenvalues (descending) with their orthonormal eigenvectors.
+
+    Columns ``bounds[r]:bounds[r + 1]`` of ``vectors`` span the eigenspace of
+    ``eigenvalues[r]``, so the projector is ``E_r = V_r V_r^T``. Consumers
+    read these factors; the dense projectors are built only on first access
+    to ``projectors``, at O(m n^2) memory.
+    """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
-    multiplicities: tuple[int, ...]
+    vectors: np.ndarray = field(repr=False)
+    bounds: tuple[int, ...]
+    connected: bool
     backing: str = "numeric"
     tolerance: float = DEFAULT_GROUPING_TOL
     warnings: tuple[str, ...] = ()
@@ -56,19 +64,36 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.vectors.shape[0]
 
     @property
     def m(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(int(d) for d in np.diff(self.bounds))
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Dense E_r = V_r V_r^T, built on first access and then kept."""
+        V, bounds = self.vectors, self.bounds
+        return tuple(V[:, lo:hi] @ V[:, lo:hi].T
+                     for lo, hi in zip(bounds, bounds[1:]))
+
     def adjacency(self) -> np.ndarray:
-        A = sum(th * E for th, E in zip(self.eigenvalues, self.projectors))
-        return np.asarray(A)
+        thetas = np.repeat(self.eigenvalues, self.multiplicities)
+        return (self.vectors * thetas) @ self.vectors.T
+
+    def pair_blocks(self, a: int, b: int) -> np.ndarray:
+        """The (m, 2, 2) restrictions of every E_r to {a, b}."""
+        rows = self.vectors[[a, b]]
+        products = rows[:, None, :] * rows[None, :, :]
+        return np.add.reduceat(products, self.bounds[:-1], axis=2).transpose(2, 0, 1)
 
     def pair_block(self, r: int, a: int, b: int) -> np.ndarray:
-        E = self.projectors[r]
-        return E[np.ix_([a, b], [a, b])]
+        rows = self.vectors[[a, b], self.bounds[r]:self.bounds[r + 1]]
+        return rows @ rows.T
 
 
 @dataclass(frozen=True)
@@ -84,23 +109,28 @@ class TransitionMatrix:
         return float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
 
 
-def _group_eigenvalues(vals: np.ndarray,
-                       threshold: float) -> tuple[list[list[int]], list[str]]:
-    order = np.argsort(vals)[::-1]
-    sorted_vals = vals[order]
-    clusters: list[list[int]] = [[0]]
-    warnings: list[str] = []
-    for i in range(1, len(sorted_vals)):
-        gap = sorted_vals[i - 1] - sorted_vals[i]
-        if gap < threshold:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-        if threshold / 10 <= gap <= threshold * 10:
-            warnings.append(
-                f"eigenvalue gap {gap:.3e} within a factor 10 of the "
-                f"grouping threshold {threshold:.3e}")
-    return [[int(order[i]) for i in cluster] for cluster in clusters], warnings
+def _group_eigenvalues(desc: np.ndarray,
+                       threshold: float) -> tuple[list[int], list[str]]:
+    """Cluster bounds over descending eigenvalues split at gaps >= threshold."""
+    gaps = desc[:-1] - desc[1:]
+    bounds = [0, *(np.nonzero(gaps >= threshold)[0] + 1).tolist(), len(desc)]
+    near = gaps[(gaps >= threshold / 10) & (gaps <= threshold * 10)]
+    warnings = [f"eigenvalue gap {gap:.3e} within a factor 10 of the "
+                f"grouping threshold {threshold:.3e}" for gap in near]
+    return bounds, warnings
+
+
+def _is_connected(A: np.ndarray) -> bool:
+    """Breadth-first search over the entries that round to a nonzero weight."""
+    adj = np.abs(np.round(A)) > 0.5
+    seen = np.zeros(A.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        reached = adj[frontier].any(axis=0) & ~seen
+        seen |= reached
+        frontier = np.nonzero(reached)[0]
+    return bool(seen.all())
 
 
 def decompose(X: Graph | np.ndarray,
@@ -114,28 +144,32 @@ def decompose(X: Graph | np.ndarray,
     if not np.allclose(A, A.T):
         raise ValueError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh(A)
+    # eigh sorts ascending; reversing the columns makes the clusters descend
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     radius = float(np.abs(vals).max(initial=0.0))
     threshold = grouping_tolerance * max(1.0, radius)
-    clusters, warnings = _group_eigenvalues(vals, threshold)
-    eigenvalues, projectors, mults = [], [], []
-    for cluster in clusters:
-        basis = vecs[:, cluster]
-        projectors.append(basis @ basis.T)
-        eigenvalues.append(float(np.mean(vals[cluster])))
-        mults.append(len(cluster))
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors),
-                                 tuple(mults), "numeric", grouping_tolerance,
-                                 tuple(warnings))
+    bounds, warnings = _group_eigenvalues(vals, threshold)
+    eigenvalues = np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
+    return SpectralDecomposition(tuple(eigenvalues.tolist()),
+                                 np.ascontiguousarray(vecs), tuple(bounds),
+                                 _is_connected(A), "numeric",
+                                 grouping_tolerance, tuple(warnings))
+
+
+def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
+                    t: float) -> np.ndarray:
+    """Rows of U(t) = exp(itA), as (V[rows] diag(exp(i t theta))) V^T."""
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
+    V = D.vectors
+    phases = np.repeat(np.exp(1j * t * np.asarray(D.eigenvalues)),
+                       D.multiplicities)
+    return (V[rows] * phases) @ V.T
 
 
 def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
     """U(t) = sum_r exp(i t theta_r) E_r."""
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    U = np.zeros((D.n, D.n), dtype=complex)
-    for th, E in zip(D.eigenvalues, D.projectors):
-        U += np.exp(1j * t * th) * E
-    return TransitionMatrix(float(t), U)
+    return TransitionMatrix(float(t), transition_rows(D, slice(None), t))
 
 
 def _stellar_exact_data(a: int, k: int, c: int) -> StellarExact:
@@ -163,7 +197,7 @@ def _stellar_exact_data(a: int, k: int, c: int) -> StellarExact:
 def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
     """Spectral decomposition of X(a, k, c) with exact-quadratic backing.
 
-    Projectors are assembled numerically but grouped onto the five exact
+    Eigenvectors are computed numerically but grouped onto the five exact
     eigenvalues; the projector blocks on the centers {0, 1} and the
     eigenvalue squares are carried exactly.
     """
@@ -176,18 +210,16 @@ def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
 
     A = build_stellar(a, k, c).adjacency()
     vals, vecs = np.linalg.eigh(A)
-    assignment = [int(np.argmin([abs(v - t) for t in targets])) for v in vals]
-    projectors, mults = [], []
-    for r in range(5):
-        cols = [i for i, g in enumerate(assignment) if g == r]
-        basis = vecs[:, cols]
-        projectors.append(basis @ basis.T)
-        mults.append(len(cols))
+    assignment = np.abs(vals[:, None] - np.array(targets)[None, :]).argmin(axis=1)
+    mults = np.bincount(assignment, minlength=5).tolist()
     if mults[:2] != [1, 1] or mults[3:] != [1, 1]:
         raise ArithmeticError("unexpected eigenvalue multiplicities")
-    return SpectralDecomposition(tuple(targets), tuple(projectors),
-                                 tuple(mults), "exact-quadratic",
-                                 DEFAULT_GROUPING_TOL, (), exact)
+    order = np.argsort(assignment, kind="stable")
+    bounds = (0, *np.cumsum(mults).tolist())
+    # fused stars are connected: the k merged leaves join the two stars
+    return SpectralDecomposition(tuple(targets), vecs[:, order], bounds, True,
+                                 "exact-quadratic", DEFAULT_GROUPING_TOL, (),
+                                 exact)
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:
@@ -228,9 +260,7 @@ def spectral_report(D: SpectralDecomposition, a: int = 0, b: int = 1) -> dict:
         "eigenvalues": [float(th) for th in D.eigenvalues],
         "multiplicities": list(D.multiplicities),
         "pair": [a, b],
-        "pair_blocks": [[[float(x) for x in row]
-                         for row in D.pair_block(r, a, b)]
-                        for r in range(D.m)],
+        "pair_blocks": D.pair_blocks(a, b).tolist(),
     }
     if D.exact is not None and (a, b) == (0, 1):
         report["exact_pair_blocks"] = [
@@ -260,7 +290,7 @@ def eigenvalue_text(value: float, square: QuadraticValue | None = None) -> str:
 
 __all__ = [
     "SpectralDecomposition", "StellarExact", "TransitionMatrix",
-    "decompose", "transition_matrix", "stellar_decompose",
+    "decompose", "transition_matrix", "transition_rows", "stellar_decompose",
     "char_poly_suite", "exact_char_poly", "spectral_report",
-    "eigenvalue_text", "poly_mul",
+    "eigenvalue_text",
 ]

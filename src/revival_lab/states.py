@@ -79,13 +79,21 @@ def eigenvalue_support(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
     if M.shape[0] != D.n:
         raise ValueError("dimension mismatch")
     threshold = _support_threshold(M, tol)
-    pairs = set()
-    products = [E @ M for E in D.projectors]
-    for r in range(D.m):
+    V, bounds = D.vectors, D.bounds
+    G = V.T @ M @ V
+    cols = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # max |entry| of E_r rho E_s = V_r G_rs V_s^T; for one-dimensional
+    # eigenspaces that is |g| max|v_r| max|v_s|
+    starts = np.asarray(bounds[:-1])
+    peak = np.abs(V[:, starts]).max(axis=0)
+    big = np.abs(G[np.ix_(starts, starts)]) * np.outer(peak, peak) > threshold
+    for r in np.nonzero(np.diff(bounds) > 1)[0]:
         for s in range(D.m):
-            if np.abs(products[r] @ D.projectors[s]).max() > threshold:
-                pairs.add((D.eigenvalues[r], D.eigenvalues[s]))
-    return pairs
+            for i, j in ((r, s), (s, r)):
+                E_rho_E = V[:, cols[i]] @ G[cols[i], cols[j]] @ V[:, cols[j]].T
+                big[i, j] = np.abs(E_rho_E).max() > threshold
+    return {(D.eigenvalues[r], D.eigenvalues[s])
+            for r, s in zip(*np.nonzero(big))}
 
 
 @dataclass(frozen=True)

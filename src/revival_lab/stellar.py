@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import (QuadraticValue, fermat_two_squares, is_perfect_square,
                     is_prime, square_free_part, two_adic_valuation)
-from .graphs import Graph, build_star
+from .graphs import Graph
 
 POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
 
@@ -226,5 +226,5 @@ def k1_no_fr_check(a: int, c: int) -> bool:
 __all__ = [
     "StellarAnalysis", "FamilyRecipe", "analyze", "diophantine_check",
     "generate_family", "generate_polygamy_triple", "double_star_tree",
-    "k1_no_fr_check", "POSITIVITY_RATIO", "build_star",
+    "k1_no_fr_check", "POSITIVITY_RATIO",
 ]

@@ -9,7 +9,7 @@ consequences, and the per-eigenvalue transfer refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,8 @@ class SubsetTransferReport:
 
 
 def _recovered_graph(D: SpectralDecomposition) -> Graph:
-    A = np.round(D.adjacency()).astype(int)
-    n = A.shape[0]
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if A[u, v]]
-    return Graph.from_edges(n, edges)
+    A = np.round(D.adjacency())
+    return Graph.from_edges(D.n, np.argwhere(np.triu(A, 1)).tolist())
 
 
 def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],

@@ -1,8 +1,12 @@
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+
+import revival_lab
 
 from revival_lab.cli import main, parse_time, parse_triple, parse_vertex_set
 from revival_lab.graphs import build_stellar, graph_from_json, graph_to_json
@@ -117,6 +121,9 @@ class TestFamilyCommand:
                               "--alpha", "2..4", "--beta", "3..6",
                               "--workers", "4"])
         assert code == 0 and text.count("\n") >= 2
+        _, sequential = run_cli(["family", "--p", "5", "--delta", "1",
+                                 "--alpha", "2..4", "--beta", "3..6"])
+        assert text == sequential
 
     def test_non_prime_rejected(self):
         code, _ = run_cli(["family", "--p", "6", "--polygamy", "1"])
@@ -190,6 +197,20 @@ class TestExportCommand:
         code, text = run_cli(["export", "--stellar", "1,1,1",
                               "--format", "dot"])
         assert code == 0 and text.startswith("graph")
+
+
+@pytest.mark.parametrize("command", ["analyze", "stellar"])
+def test_dot_format_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--stellar", "3,2,6", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match and revival_lab.__version__ == match.group(1)
 
 
 def test_bad_tolerance_exit_two():

@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from revival_lab import transfer
 from revival_lab.exact import poly_mul
 from revival_lab.graphs import build_path, build_star, build_stellar
+from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
                                   eigenvalue_text, exact_char_poly,
                                   spectral_report, stellar_decompose,
                                   transition_matrix)
+from revival_lab.states import subset_state, support_graph
 
 
 class TestDecompose:
@@ -167,3 +170,54 @@ def test_grouping_warning_near_threshold():
     A = np.diag([0.0, 1e-8])
     D = decompose(A, grouping_tolerance=1e-9)
     assert D.m == 2 and D.warnings
+
+
+class TestFactoredParity:
+    """Consumers of the eigenvector factors agree with sums over explicit
+    projectors E_r = V_r V_r^T."""
+
+    def test_pair_blocks(self, parity_cases):
+        for name, D, E, pairs in parity_cases:
+            for a, b in pairs:
+                ref = np.array([P[np.ix_([a, b], [a, b])] for P in E])
+                assert np.abs(D.pair_blocks(a, b) - ref).max() < 1e-12, name
+                assert all(np.abs(D.pair_block(r, a, b) - ref[r]).max() < 1e-12
+                           for r in range(D.m)), name
+
+    def test_adjacency_and_transition_matrix(self, parity_cases):
+        for name, D, E, _ in parity_cases:
+            A = sum(th * P for th, P in zip(D.eigenvalues, E))
+            assert np.abs(D.adjacency() - A).max() < 1e-12, name
+            for t in (0.7, 2.9):
+                U = sum(np.exp(1j * t * th) * P for th, P in zip(D.eigenvalues, E))
+                assert np.abs(transition_matrix(D, t).entries - U).max() < 1e-12, name
+
+    def test_verify_fr_at_rows(self, parity_cases):
+        t = 1.3
+        for name, D, E, pairs in parity_cases:
+            U = sum(np.exp(1j * t * th) * P for th, P in zip(D.eigenvalues, E))
+            for a, b in pairs:
+                obs = verify_fr_at(D, a, b, t)
+                others = [v for v in range(D.n) if v not in (a, b)]
+                off = np.abs(U[np.ix_([a, b], others)]).max() if others else 0.0
+                assert abs(obs.off_block_norm - off) < 1e-12, name
+                assert abs(obs.cross_amplitude - abs(U[a, b])) < 1e-12, name
+                assert np.abs(obs.block - U[np.ix_([a, b], [a, b])]).max() < 1e-12
+
+    def test_verify_fr_at_rejects_nonfinite_time(self):
+        with pytest.raises(ValueError):
+            verify_fr_at(decompose(build_path(3)), 0, 2, float("nan"))
+
+
+def test_hot_paths_leave_projectors_unbuilt(monkeypatch):
+    # exact characteristic polynomials of the 199-vertex induced subgraphs
+    # take minutes and read nothing of the decomposition
+    monkeypatch.setattr(transfer, "induced_cospectrality",
+                        lambda X, S, T: (False, False))
+    D = decompose(build_path(200))
+    certify_fr(D, 0, 199)
+    verify_fr_at(D, 0, 199, 1.0)
+    support_graph(D, subset_state({0, 199}, D.n))
+    transfer.detect_subset_transfer(D, {0}, {199}, 1.0)
+    assert "projectors" not in vars(D)
+    assert len(D.projectors) == D.m and "projectors" in vars(D)

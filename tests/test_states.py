@@ -49,6 +49,21 @@ class TestEigenvalueSupport:
         thetas = {round(th) for pair in pairs for th in pair}
         assert thetas == {3, 2, -2, -3}
 
+    def test_matches_explicit_projectors(self, parity_cases):
+        rng = np.random.default_rng(3)
+        for name, D, E, pairs in parity_cases:
+            R = rng.standard_normal((D.n, 2))
+            states = [R @ R.T] + [subset_state(S, D.n).entries
+                                  for S in pairs[:3] + [(0,), (D.n - 1,)]]
+            stack = np.array(E)
+            for M in states:
+                threshold = 1e-8 * np.abs(M).max()
+                # entry [r, s] is max |E_r M E_s|
+                peaks = np.abs((stack @ M)[:, None] @ stack[None]).max(axis=(2, 3))
+                ref = {(D.eigenvalues[r], D.eigenvalues[s])
+                       for r, s in zip(*np.nonzero(peaks > threshold))}
+                assert eigenvalue_support(D, M) == ref, name
+
     def test_identity_sees_only_loops(self):
         D = decompose(build_path(3))
         pairs = eigenvalue_support(D, np.eye(3))
