@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="target subset, e.g. 2,5")
 
     p = sub.add_parser("export", help="emit graph JSON/DOT or support DOT")
-    common(p, formats=("json", "csv", "dot", "text"))
+    common(p, formats=("json", "dot"))
     p.add_argument("--state", help="vertex subset for the support graph")
     return parser
 

@@ -93,16 +93,23 @@ def induced_cospectrality(X: Graph, S: set[int],
                           T: set[int]) -> tuple[bool, bool]:
     """Exact cospectrality of the induced subgraphs on S vs T and on the
     complements, by integer characteristic polynomials.
+
+    Sets of different sizes have polynomials of different degrees, and so
+    have their complements. Each distinct vertex set is computed once: when
+    T is the complement of S, the four polynomials are two.
     """
-    S, T = set(S), set(T)
+    S, T = frozenset(S), frozenset(T)
+    if len(S) != len(T):
+        return False, False
+    polys: dict[frozenset[int], list[int]] = {frozenset(): [1]}
 
-    def charpoly_of(vertices: set[int]) -> list[int]:
-        if not vertices:
-            return [1]
-        sub, _ = induced_subgraph(X, vertices)
-        return charpoly_int(sub.adjacency().astype(int).tolist())
+    def charpoly_of(vertices: frozenset[int]) -> list[int]:
+        if vertices not in polys:
+            sub, _ = induced_subgraph(X, vertices)
+            polys[vertices] = charpoly_int(sub.adjacency().astype(int).tolist())
+        return polys[vertices]
 
-    all_v = set(range(X.n))
+    all_v = frozenset(range(X.n))
     return (charpoly_of(S) == charpoly_of(T),
             charpoly_of(all_v - S) == charpoly_of(all_v - T))
 

@@ -207,6 +207,14 @@ def test_dot_format_is_a_usage_error(command, capsys):
     assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_export_rejects_formats_it_cannot_write(fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["export", "--stellar", "1,1,1", "--format", fmt])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{fmt}'" in capsys.readouterr().err
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from revival_lab.exact import (QuadraticValue, charpoly_int,
+from revival_lab.exact import (QuadraticValue, _is_word_prime, charpoly_int,
                                fermat_two_squares, is_perfect_square,
                                is_prime, poly_mul, poly_sub, poly_text,
                                rationalize, square_free_part,
                                two_adic_valuation)
+from revival_lab.graphs import Graph, build_path, build_stellar
+from revival_lab.spectral import char_poly_suite
 
 
 class TestSquareFreePart:
@@ -128,6 +130,48 @@ class TestQuadraticValue:
         assert (x * x.conjugate()).is_rational
 
 
+def faddeev_leverrier(A):
+    """Reference det(tI - A), ascending: Faddeev-LeVerrier over Python ints.
+
+    O(n**4), but every step is plain integer arithmetic with exact
+    divisions, so it shares nothing with the multi-modular method.
+    """
+    n = len(A)
+    coeffs = [0] * n + [1]
+    M = [[0] * n for _ in range(n)]
+    c = 1
+    for k in range(1, n + 1):
+        M = [[sum(A[i][l] * M[l][j] for l in range(n)) + (c if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        trace = sum(A[i][l] * M[l][i] for i in range(n) for l in range(n))
+        c, r = divmod(-trace, k)
+        assert r == 0
+        coeffs[n - k] = c
+    return coeffs
+
+
+def path_poly(n):
+    """phi(P_n) by the Chebyshev recurrence phi_n = t phi_{n-1} - phi_{n-2}."""
+    prev, cur = [1], [0, 1]
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, poly_sub([0] + cur, prev)
+    return cur
+
+
+def adjacency(X):
+    return X.adjacency().astype(int).tolist()
+
+
+square_int_matrices = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-2, 2),
+                           st.integers(-10**6, 10**6)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
 class TestCharpolyInt:
     def test_small_matrices(self):
         # det(tI - A) for the single edge: t^2 - 1
@@ -145,6 +189,82 @@ class TestCharpolyInt:
         roots = np.roots(list(reversed(coeffs)))
         eigs = np.linalg.eigvals(np.array(A, dtype=float))
         assert np.allclose(sorted(roots.real), sorted(eigs.real), atol=1e-6)
+
+    @settings(deadline=None)
+    @given(square_int_matrices)
+    def test_matches_faddeev_leverrier(self, A):
+        assert charpoly_int(A) == faddeev_leverrier(A)
+
+    def test_paths_by_chebyshev(self):
+        for n in range(1, 61):
+            assert charpoly_int(adjacency(build_path(n))) == path_poly(n), n
+
+    def test_cycles(self):
+        # phi(C_n) = phi(P_n) - phi(P_{n-2}) - 2
+        for n in range(3, 31):
+            C = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+            expected = poly_sub(poly_sub(path_poly(n), path_poly(n - 2)), [2])
+            assert charpoly_int(adjacency(C)) == expected, n
+
+    def test_complete_graphs(self):
+        for n in range(1, 31):
+            A = [[int(i != j) for j in range(n)] for i in range(n)]
+            expected = [1 - n, 1]
+            for _ in range(n - 1):
+                expected = poly_mul(expected, [1, 1])
+            assert charpoly_int(A) == expected, n
+
+    def test_complete_bipartite(self):
+        for m, n in [(1, 1), (1, 5), (2, 3), (4, 4), (3, 9)]:
+            A = [[int((i < m) != (j < m)) for j in range(m + n)]
+                 for i in range(m + n)]
+            expected = [0] * (m + n - 2) + [-m * n, 0, 1]
+            assert charpoly_int(A) == expected, (m, n)
+
+    @pytest.mark.parametrize("a,k,c", [(1, 1, 1), (3, 2, 6), (12, 6, 28),
+                                       (2, 5, 7)])
+    def test_fused_stars_closed_form(self, a, k, c):
+        A = adjacency(build_stellar(a, k, c))
+        assert charpoly_int(A) == char_poly_suite(a, k, c)["phi"]
+
+    def test_entries_beyond_int64(self):
+        big = 2**63
+        A = [[big, 3, -1], [-5, 2**70 + 1, 0], [7, -big - 9, -2**64]]
+        assert charpoly_int(A) == faddeev_leverrier(A)
+        assert charpoly_int([[big]]) == [-big, 1]
+        # about 70 primes: more than one memoised block of them
+        huge = [[2**1000, -1], [3, -2**999 + 7]]
+        assert charpoly_int(huge) == faddeev_leverrier(huge)
+
+    def test_coefficients_beyond_int64(self):
+        # c (J - I) on 10 vertices: (t - 9c)(t + c)^9, dense and signed,
+        # with coefficients far past 2**63, so several primes are combined
+        n, c = 10, 10**6
+        A = [[c * (i != j) for j in range(n)] for i in range(n)]
+        expected = [-(n - 1) * c, 1]
+        for _ in range(n - 1):
+            expected = poly_mul(expected, [c, 1])
+        assert max(abs(x) for x in expected) > 2**63
+        assert min(expected) < 0
+        assert charpoly_int(A) == expected == faddeev_leverrier(A)
+
+    def test_trivial_sizes(self):
+        assert charpoly_int([[5]]) == [-5, 1]
+        assert charpoly_int([[-3]]) == [3, 1]
+        for n in (1, 2, 7):
+            assert charpoly_int([[0] * n for _ in range(n)]) == [0] * n + [1]
+
+    def test_word_primes_match_trial_division(self):
+        # 2047, 1373653 and 25326001 are strong pseudoprimes to bases 2;
+        # 2, 3; and 2, 3, 5
+        candidates = [*range(3000), *range(2**28 - 1000, 2**28),
+                      2047, 1373653, 25326001]
+        for q in candidates:
+            assert _is_word_prime(q) == is_prime(q), q
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            charpoly_int([[1, 2, 3], [4, 5, 6]])
 
 
 def test_poly_helpers():
