@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from . import graphs, revival, spectral, states, stellar, transfer
 
-DEFAULT_TOL = 1e-8
-
 
 def parse_time(text: str) -> float:
     """Parse a time expression: a number, or rational multiples of pi
@@ -131,7 +129,7 @@ def cmd_analyze(args, out) -> int:
     cert = revival.certify_fr(D, a, b)
     doc = {"certificate": cert.to_json_dict()}
     if cert.tau_min is not None:
-        obs = revival.verify_fr_at(D, a, b, cert.tau_min, args.tol)
+        obs = revival.verify_fr_at(D, a, b, cert.tau_min)
         doc["oracle"] = {
             "t": obs.t,
             "off_block_norm": obs.off_block_norm,
@@ -139,7 +137,7 @@ def cmd_analyze(args, out) -> int:
         }
     if args.time is not None:
         t = parse_time(args.time)
-        obs = revival.verify_fr_at(D, a, b, t, args.tol)
+        obs = revival.verify_fr_at(D, a, b, t)
         doc["oracle_at_time"] = {
             "t": obs.t,
             "off_block_norm": obs.off_block_norm,
@@ -261,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar=("A", "B"))
         if time:
             p.add_argument("--time", help='time expression, e.g. "pi/sqrt(2)"')
-        p.add_argument("--tol", type=float,
-                       default=float(os.environ.get("REVIVAL_LAB_TOL",
-                                                    DEFAULT_TOL)))
         p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("analyze", help="certify FR on a vertex pair")
@@ -292,6 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subset", help="detect subset state transfer")
     common(p, time=True)
+    # argparse converts a string default only when subset runs, so a bad
+    # REVIVAL_LAB_TOL is a usage error there and harmless elsewhere
+    p.add_argument("--tol", type=float,
+                   default=os.environ.get("REVIVAL_LAB_TOL",
+                                          str(transfer.DEFAULT_TRANSFER_TOL)),
+                   help="transfer residual threshold (env REVIVAL_LAB_TOL)")
     p.add_argument("--s", required=True, help="source subset, e.g. 0,3")
     p.add_argument("--t", required=True, help="target subset, e.g. 2,5")
 

@@ -54,12 +54,37 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+# Miller-Rabin with these bases decides every n below 3.18e23 (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n below 3.18e23.
+
+    Above that bound a witness still refutes a composite, but a number that
+    passes every base raises ValueError rather than being called prime.
+    """
     if n < 2:
         return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = two_adic_valuation(n - 1)
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime")
     return True
 
 
@@ -96,7 +121,9 @@ class QuadraticValue:
 
     delta = 1 values are normalized to a pure rational (q = 0). Arithmetic is
     closed for operands sharing the same radicand; mixing distinct radicands
-    raises.
+    raises. A radicand is factored once, where it enters: in the constructor
+    and in ``sqrt``. Arithmetic results reuse their operands' radicand, which
+    is already square-free.
     """
 
     p: Fraction
@@ -104,13 +131,12 @@ class QuadraticValue:
     delta: int
 
     def __post_init__(self) -> None:
-        p, q, delta = Fraction(self.p), Fraction(self.q), self.delta
-        if delta <= 0:
-            raise ValueError(f"radicand must be positive, got {delta}")
-        sf, m = square_free_part(delta)
-        if m != 1:
-            q *= m
-            delta = sf
+        if self.delta <= 0:
+            raise ValueError(f"radicand must be positive, got {self.delta}")
+        sf, m = square_free_part(self.delta)
+        self._normalize(Fraction(self.p), Fraction(self.q) * m, sf)
+
+    def _normalize(self, p: Fraction, q: Fraction, delta: int) -> None:
         if delta == 1 or q == 0:
             p, q, delta = p + (q if delta == 1 else 0), Fraction(0), 1
         object.__setattr__(self, "p", p)
@@ -118,18 +144,27 @@ class QuadraticValue:
         object.__setattr__(self, "delta", delta)
 
     @classmethod
+    def _reduced(cls, p: Fraction, q: Fraction, delta: int) -> "QuadraticValue":
+        """p + q*sqrt(delta) for Fractions p, q and a delta already known
+        to be square-free."""
+        value = object.__new__(cls)
+        value._normalize(p, q, delta)
+        return value
+
+    @classmethod
     def of(cls, value: int | Fraction) -> "QuadraticValue":
-        return cls(Fraction(value), Fraction(0), 1)
+        return cls._reduced(Fraction(value), Fraction(0), 1)
 
     @classmethod
     def sqrt(cls, n: int) -> "QuadraticValue":
         """Exact square root of a nonnegative integer."""
         if n < 0:
             raise ValueError("negative radicand")
-        if n == 0:
-            return cls.of(0)
+        root = math.isqrt(n)
+        if root * root == n:
+            return cls.of(root)
         delta, m = square_free_part(n)
-        return cls(Fraction(0), Fraction(m), delta)
+        return cls._reduced(Fraction(0), Fraction(m), delta)
 
     @property
     def is_rational(self) -> bool:
@@ -141,7 +176,7 @@ class QuadraticValue:
         return self.p
 
     def conjugate(self) -> "QuadraticValue":
-        return QuadraticValue(self.p, -self.q, self.delta)
+        return self._reduced(self.p, -self.q, self.delta)
 
     def _coerce(self, other) -> "QuadraticValue":
         if isinstance(other, QuadraticValue):
@@ -160,12 +195,12 @@ class QuadraticValue:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadraticValue(self.p + o.p, self.q + o.q, self._delta_of(o))
+        return self._reduced(self.p + o.p, self.q + o.q, self._delta_of(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticValue(-self.p, -self.q, self.delta)
+        return self._reduced(-self.p, -self.q, self.delta)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -181,8 +216,8 @@ class QuadraticValue:
         if o is NotImplemented:
             return NotImplemented
         d = self._delta_of(o)
-        return QuadraticValue(self.p * o.p + self.q * o.q * d,
-                              self.p * o.q + self.q * o.p, d)
+        return self._reduced(self.p * o.p + self.q * o.q * d,
+                             self.p * o.q + self.q * o.p, d)
 
     __rmul__ = __mul__
 
@@ -194,7 +229,7 @@ class QuadraticValue:
         norm = o.p * o.p - o.q * o.q * d
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic value")
-        inv = QuadraticValue(o.p / norm, -o.q / norm, d)
+        inv = self._reduced(o.p / norm, -o.q / norm, d)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -232,32 +267,6 @@ class QuadraticValue:
         return tail
 
 
-def _is_word_prime(q: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for q < 3.2e9.
-
-    Finds 16 primes below 2**29 in about 0.5 ms, where trial division
-    (``is_prime``) takes about 34 ms.
-    """
-    if q < 2:
-        return False
-    for b in (2, 3, 5, 7):
-        if q % b == 0:
-            return q == b
-    s = two_adic_valuation(q - 1)
-    d = (q - 1) >> s
-    for b in (2, 3, 5, 7):
-        x = pow(b, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @functools.cache
 def _primes_below(bits: int, block: int) -> tuple[int, ...]:
     """The block-th run of 16 primes below 2**bits, counting down from
@@ -268,7 +277,7 @@ def _primes_below(bits: int, block: int) -> tuple[int, ...]:
     found: list[int] = []
     while len(found) < 16:
         q -= 1
-        if _is_word_prime(q):
+        if is_prime(q):
             found.append(q)
     return tuple(found)
 

@@ -270,8 +270,8 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
     return result(verdict, delta, g, tau, two_adic)
 
 
-def verify_fr_at(D: SpectralDecomposition, a: int, b: int, t: float,
-                 tol: float = 1e-8) -> FRObservation:
+def verify_fr_at(D: SpectralDecomposition, a: int, b: int,
+                 t: float) -> FRObservation:
     """Measure off-block leakage and cross amplitude of U(t) at {a, b}."""
     rows = transition_rows(D, [a, b], t)
     block = rows[:, [a, b]]

@@ -9,7 +9,7 @@ in closed form over a single radicand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from .exact import QuadraticValue, charpoly_int, square_free_part
 from .graphs import Graph, build_stellar
+from .stellar import analyze
 
 DEFAULT_GROUPING_TOL = 1e-9
 
@@ -173,15 +174,12 @@ def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
 
 
 def _stellar_exact_data(a: int, k: int, c: int) -> StellarExact:
-    mu = 2 * k + a + c
-    sigma = 4 * k * k + (a - c) ** 2
-    root = QuadraticValue.sqrt(sigma)
-    y5 = (QuadraticValue.of(mu) + root) / 2
-    y3 = (QuadraticValue.of(mu) - root) / 2
+    an = analyze(a, k, c)
+    y3, y5 = an.theta3_sq, an.theta5_sq
     zero = QuadraticValue.of(0)
 
     def block(y: QuadraticValue) -> tuple[tuple[QuadraticValue, ...], ...]:
-        denom = (y * 2 - mu) * 2  # +-2 sqrt(sigma)
+        denom = (y * 2 - an.mu) * 2  # +-2 sqrt(sigma)
         e00 = (y - (c + k)) / denom
         e11 = (y - (a + k)) / denom
         e01 = QuadraticValue.of(k) / denom
@@ -191,35 +189,25 @@ def _stellar_exact_data(a: int, k: int, c: int) -> StellarExact:
     # order matches descending eigenvalues: theta5, theta3, 0, -theta3, -theta5
     squares = (y5, y3, zero, y3, y5)
     blocks = (block(y5), block(y3), zero_block, block(y3), block(y5))
-    return StellarExact(a, k, c, mu, sigma, squares, blocks)
+    return StellarExact(a, k, c, an.mu, an.sigma, squares, blocks)
 
 
 def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
     """Spectral decomposition of X(a, k, c) with exact-quadratic backing.
 
-    Eigenvectors are computed numerically but grouped onto the five exact
-    eigenvalues; the projector blocks on the centers {0, 1} and the
-    eigenvalue squares are carried exactly.
+    ``decompose`` supplies the eigenvectors, which must fall into five
+    clusters of multiplicities 1, 1, n - 4, 1, 1. The eigenvalues are
+    replaced by the closed forms +-theta5, +-theta3 and 0; the projector
+    blocks on the centers {0, 1} and the eigenvalue squares are carried
+    exactly.
     """
-    if min(a, k, c) < 1:
-        raise ValueError("all of a, k, c must be positive")
     exact = _stellar_exact_data(a, k, c)
-    theta5 = math.sqrt(float(exact.eigenvalue_squares[0]))
-    theta3 = math.sqrt(float(exact.eigenvalue_squares[1]))
-    targets = [theta5, theta3, 0.0, -theta3, -theta5]
-
-    A = build_stellar(a, k, c).adjacency()
-    vals, vecs = np.linalg.eigh(A)
-    assignment = np.abs(vals[:, None] - np.array(targets)[None, :]).argmin(axis=1)
-    mults = np.bincount(assignment, minlength=5).tolist()
-    if mults[:2] != [1, 1] or mults[3:] != [1, 1]:
+    D = decompose(build_stellar(a, k, c))
+    if D.multiplicities != (1, 1, D.n - 4, 1, 1):
         raise ArithmeticError("unexpected eigenvalue multiplicities")
-    order = np.argsort(assignment, kind="stable")
-    bounds = (0, *np.cumsum(mults).tolist())
-    # fused stars are connected: the k merged leaves join the two stars
-    return SpectralDecomposition(tuple(targets), vecs[:, order], bounds, True,
-                                 "exact-quadratic", DEFAULT_GROUPING_TOL, (),
-                                 exact)
+    theta5, theta3 = (math.sqrt(float(y)) for y in exact.eigenvalue_squares[:2])
+    return replace(D, eigenvalues=(theta5, theta3, 0.0, -theta3, -theta5),
+                   backing="exact-quadratic", exact=exact)
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:

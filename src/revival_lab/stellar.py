@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import (QuadraticValue, fermat_two_squares, is_perfect_square,
-                    is_prime, square_free_part, two_adic_valuation)
+from .exact import (QuadraticValue, fermat_two_squares, square_free_part,
+                    two_adic_valuation)
 from .graphs import Graph
 
 POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
@@ -21,11 +22,15 @@ POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
 
 @dataclass(frozen=True)
 class StellarAnalysis:
-    """Exact derived quantities for X(a, k, c) and the FR verdict on {0, 1}.
+    """Exact FR verdict on the centers {0, 1} of X(a, k, c), decided from
+    the integers mu = 2k + a + c and sigma = 4k^2 + (a - c)^2.
 
     The two nonzero eigenvalue magnitudes are sqrt(theta3_sq) and
-    sqrt(theta5_sq). When both squares are integers sharing a square-free
-    part delta, they equal alpha*sqrt(delta) and beta*sqrt(delta).
+    sqrt(theta5_sq), with theta3_sq, theta5_sq = (mu -+ sqrt(sigma))/2.
+    They are derived on first access, for output, and are not part of the
+    decision: only when sigma is not a square do they need its square-free
+    part, found once for both. When both squares are integers sharing a
+    square-free part delta, they equal alpha**2 * delta and beta**2 * delta.
 
     min_period is always 2 * tau_min (None when there is no FR). For a
     proper triple it is the first time at which the block of U(t) on the
@@ -42,15 +47,30 @@ class StellarAnalysis:
     c: int
     mu: int
     sigma: int
-    theta3_sq: QuadraticValue
-    theta5_sq: QuadraticValue
-    delta: int | None
-    alpha: int | None
-    beta: int | None
-    verdict: str  # no-FR | improper-FR | proper-FR
-    tau_min: float | None
-    min_period: float | None
-    two_adic: tuple[int, int] | None
+    delta: int | None = None
+    alpha: int | None = None
+    beta: int | None = None
+    verdict: str = "no-FR"  # no-FR | improper-FR | proper-FR
+    tau_min: float | None = None
+    min_period: float | None = None
+    two_adic: tuple[int, int] | None = None
+
+    @cached_property
+    def _theta_squares(self) -> tuple[QuadraticValue, QuadraticValue]:
+        s = math.isqrt(self.sigma)
+        if s * s == self.sigma:
+            return (QuadraticValue.of(Fraction(self.mu - s, 2)),
+                    QuadraticValue.of(Fraction(self.mu + s, 2)))
+        root = QuadraticValue.sqrt(self.sigma)
+        return (self.mu - root) / 2, (self.mu + root) / 2
+
+    @property
+    def theta3_sq(self) -> QuadraticValue:
+        return self._theta_squares[0]
+
+    @property
+    def theta5_sq(self) -> QuadraticValue:
+        return self._theta_squares[1]
 
     @property
     def gamma(self) -> Fraction:
@@ -80,40 +100,25 @@ def analyze(a: int, k: int, c: int) -> StellarAnalysis:
     FR (at all) requires both eigenvalue squares (mu +- sqrt(sigma))/2 to be
     integers with the same square-free part delta; the revival is proper
     exactly when the quotients alpha, beta have distinct 2-adic valuations.
+    Only integers enter: isqrt settles whether sigma is a square, and the
+    square-free parts of the two integer squares are taken only when it is.
     """
     if min(a, k, c) < 1:
         raise ValueError("all of a, k, c must be positive")
     mu = 2 * k + a + c
     sigma = 4 * k * k + (a - c) ** 2
-
-    def result(delta=None, alpha=None, beta=None, verdict="no-FR",
-               tau=None, period=None, two_adic=None,
-               t3=None, t5=None) -> StellarAnalysis:
-        if t3 is None:
-            root = QuadraticValue.sqrt(sigma)
-            t3 = (QuadraticValue.of(mu) - root) / 2
-            t5 = (QuadraticValue.of(mu) + root) / 2
-        return StellarAnalysis(a, k, c, mu, sigma, t3, t5, delta, alpha,
-                               beta, verdict, tau, period, two_adic)
-
-    if not is_perfect_square(sigma):
-        return result()
     s = math.isqrt(sigma)
-    if (mu - s) % 2:
-        return result()
-    t3 = QuadraticValue.of((mu - s) // 2)
-    t5 = QuadraticValue.of((mu + s) // 2)
-    d3, m3 = square_free_part((mu - s) // 2)
-    d5, m5 = square_free_part((mu + s) // 2)
-    if d3 != d5:
-        return result(t3=t3, t5=t5)
-    delta, alpha, beta = d3, m3, m5
-    g = math.gcd(alpha, beta)
-    tau = math.pi / (g * math.sqrt(delta))
-    period = 2 * tau
+    if s * s != sigma or (mu - s) % 2:
+        return StellarAnalysis(a, k, c, mu, sigma)
+    delta, alpha = square_free_part((mu - s) // 2)
+    d5, beta = square_free_part((mu + s) // 2)
+    if delta != d5:
+        return StellarAnalysis(a, k, c, mu, sigma)
+    tau = math.pi / (math.gcd(alpha, beta) * math.sqrt(delta))
     two_adic = (two_adic_valuation(alpha), two_adic_valuation(beta))
     verdict = "proper-FR" if two_adic[0] != two_adic[1] else "improper-FR"
-    return result(delta, alpha, beta, verdict, tau, period, two_adic, t3, t5)
+    return StellarAnalysis(a, k, c, mu, sigma, delta, alpha, beta, verdict,
+                           tau, 2 * tau, two_adic)
 
 
 def diophantine_check(a: int, k: int, c: int, delta: int, alpha: int,
@@ -149,8 +154,7 @@ class FamilyRecipe:
     @classmethod
     def from_parameters(cls, p: int, delta: int, alpha: int,
                         beta: int) -> "FamilyRecipe":
-        if not is_prime(p) or p % 4 != 1:
-            raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
+        f, g_f = fermat_two_squares(p)
         if delta < 1 or square_free_part(delta)[1] != 1:
             raise ValueError("delta must be a square-free positive integer")
         if alpha < 1 or beta < 1:
@@ -164,7 +168,6 @@ class FamilyRecipe:
         rem = delta * (beta * beta - alpha * alpha)
         if rem % p:
             raise ValueError(f"{p} does not divide delta*(beta^2 - alpha^2)")
-        f, g_f = fermat_two_squares(p)
         return cls(p, f, g_f, delta, alpha, beta, rem // p)
 
 
@@ -186,11 +189,9 @@ def generate_family(r: FamilyRecipe) -> tuple[int, int, int]:
 
 def generate_polygamy_triple(p: int, r: int) -> tuple[int, int, int]:
     """Triple (a, k, c) with proper FR on the centers at exactly pi/p."""
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
+    f, g_f = fermat_two_squares(p)
     if r < 1:
         raise ValueError("r must be a positive integer")
-    f, g_f = fermat_two_squares(p)
     a = p * p * r * r - g_f * p * (2 * r + 1) * (f - g_f)
     k = f * g_f * p * (2 * r + 1)
     c = p * p * r * r + f * p * (2 * r + 1) * (f - g_f)

@@ -44,3 +44,20 @@ def parity_cases():
         E = [V[:, lo:hi] @ V[:, lo:hi].T for lo, hi in zip(D.bounds, D.bounds[1:])]
         cases.append((name, D, E, _pairs(D.n)))
     return cases
+
+
+@pytest.fixture
+def square_free_calls(monkeypatch):
+    """The arguments of every ``square_free_part`` call that the exact
+    arithmetic and the fused-star analysis make while the test runs."""
+    from revival_lab import exact, stellar
+    calls = []
+    real = exact.square_free_part
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exact, "square_free_part", counting)
+    monkeypatch.setattr(stellar, "square_free_part", counting)
+    return calls

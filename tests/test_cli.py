@@ -221,12 +221,38 @@ def test_version_matches_pyproject():
     assert match and revival_lab.__version__ == match.group(1)
 
 
-def test_bad_tolerance_exit_two():
-    code, _ = run_cli(["analyze", "--stellar", "3,2,6", "--tol", "-1"])
+def _ladder_subset(tmp_path, *extra):
+    from revival_lab.graphs import build_path, cartesian_product
+    path = tmp_path / "ladder.json"
+    path.write_text(graph_to_json(cartesian_product(build_path(2), build_path(3))))
+    # 2.2214415 is pi/sqrt(2) to 8 digits: the residual is about 3e-8
+    return run_cli(["subset", "--graph", str(path), "--s", "0,3",
+                    "--t", "2,5", "--time", "2.2214415", *extra])
+
+
+def test_bad_tolerance_exit_two(tmp_path, monkeypatch):
+    code, _ = _ladder_subset(tmp_path, "--tol", "-1")
     assert code == 2
+    monkeypatch.setenv("REVIVAL_LAB_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        _ladder_subset(tmp_path)
+    assert exc.value.code == 2
+    assert run_cli(["stellar", "--stellar", "3,2,6"])[0] == 0
 
 
-def test_env_tolerance(monkeypatch):
+def test_env_tolerance(tmp_path, monkeypatch):
+    assert _ladder_subset(tmp_path)[0] == 1
     monkeypatch.setenv("REVIVAL_LAB_TOL", "1e-5")
-    code, text = run_cli(["analyze", "--stellar", "3,2,6"])
-    assert code == 0
+    code, text = _ladder_subset(tmp_path)
+    assert code == 0 and json.loads(text)["is_transfer"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--stellar", "3,2,6"], ["stellar", "--stellar", "3,2,6"],
+    ["product", "--stellar", "27,18,54", "--ell", "1"],
+    ["export", "--stellar", "3,2,6"]])
+def test_tolerance_is_a_subset_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revival_lab.exact import (QuadraticValue, _is_word_prime, charpoly_int,
+from revival_lab.exact import (QuadraticValue, charpoly_int,
                                fermat_two_squares, is_perfect_square,
                                is_prime, poly_mul, poly_sub, poly_text,
                                rationalize, square_free_part,
@@ -64,11 +64,33 @@ def test_fermat_two_squares():
         fermat_two_squares(10)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """Reference primality test: a divisor search up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# the least strong pseudoprimes to the first 4..11 prime bases; each has a
+# prime factor below 1.1e7, so the reference refutes it quickly
+STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051]
+# the least strong pseudoprime to all twelve bases 2..37 used by is_prime
+PSI_12 = 318665857834031151167461
+
+
 def test_is_perfect_square_and_prime():
     assert is_perfect_square(0) and is_perfect_square(25)
     assert not is_perfect_square(26) and not is_perfect_square(-4)
     assert is_prime(2) and is_prime(17) and not is_prime(1)
     assert not is_prime(91)
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n) and not trial_division_is_prime(n), n
+    assert is_prime(2**61 - 1)  # Mersenne prime, beyond trial division
+    # above the bound a witness still refutes a composite, ...
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    # ... but a number that passes every base is not called prime
+    for n in (PSI_12, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_rationalize():
@@ -105,6 +127,17 @@ class TestQuadraticValue:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             QuadraticValue.sqrt(2) / 0
+
+    def test_arithmetic_never_factors(self, square_free_calls):
+        r, s = QuadraticValue.sqrt(999999000001), QuadraticValue.sqrt(45)
+        half = QuadraticValue(Fraction(1, 2), Fraction(0), 1)
+        square_free_calls.clear()
+        for x in (r, s):
+            y = (x + 3) * (x - Fraction(1, 2)) / (2 * x + 1) - half
+            assert (-y).conjugate() + y.conjugate() == 0
+            assert (1 / x) * x == 1 and 3 - x != x
+        assert QuadraticValue.sqrt(10**40) == 10**20
+        assert square_free_calls == []
 
     def test_str(self):
         assert str(QuadraticValue.sqrt(5)) == "sqrt(5)"
@@ -255,12 +288,12 @@ class TestCharpolyInt:
             assert charpoly_int([[0] * n for _ in range(n)]) == [0] * n + [1]
 
     def test_word_primes_match_trial_division(self):
-        # 2047, 1373653 and 25326001 are strong pseudoprimes to bases 2;
-        # 2, 3; and 2, 3, 5
+        # charpoly_int draws its primes from is_prime; 2047, 1373653 and
+        # 25326001 are strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5
         candidates = [*range(3000), *range(2**28 - 1000, 2**28),
                       2047, 1373653, 25326001]
         for q in candidates:
-            assert _is_word_prime(q) == is_prime(q), q
+            assert is_prime(q) == trial_division_is_prime(q), q
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

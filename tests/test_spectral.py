@@ -107,6 +107,28 @@ class TestStellarDecompose:
         assert (y5 + y3).as_fraction() == a + 2 * k + c
         assert (y5 * y3).as_fraction() == a * k + c * k + a * c
 
+    def test_built_on_decompose_and_analyze(self, monkeypatch):
+        from revival_lab import spectral
+        seen = {}
+
+        def recording(name):
+            real = getattr(spectral, name)
+
+            def call(*args):
+                seen[name] = real(*args)
+                return seen[name]
+            monkeypatch.setattr(spectral, name, call)
+
+        recording("decompose")
+        recording("analyze")
+        D = stellar_decompose(2, 6, 28)
+        an, numeric = seen["analyze"], seen["decompose"]
+        assert (D.exact.mu, D.exact.sigma) == (an.mu, an.sigma)
+        assert D.exact.eigenvalue_squares[0] is an.theta5_sq
+        assert D.exact.eigenvalue_squares[1] is an.theta3_sq
+        assert D.vectors is numeric.vectors and D.bounds == numeric.bounds
+        assert D.eigenvalues == pytest.approx(numeric.eigenvalues)
+
     def test_reconstruction(self):
         D = stellar_decompose(3, 2, 6)
         assert np.abs(D.adjacency() - build_stellar(3, 2, 6).adjacency()).max() < 1e-8

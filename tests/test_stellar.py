@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -38,11 +39,40 @@ class TestAnalyze:
         assert an.verdict == "no-FR" and an.delta is None
 
     def test_vieta_exact(self):
-        for (a, k, c) in [(3, 2, 6), (1, 2, 3), (5, 7, 11)]:
+        for (a, k, c) in itertools.product(range(1, 13), repeat=3):
             an = analyze(a, k, c)
             assert (an.theta3_sq + an.theta5_sq).as_fraction() == a + 2 * k + c
             assert (an.theta3_sq * an.theta5_sq).as_fraction() == \
                 a * k + c * k + a * c
+
+    @pytest.mark.parametrize("triple,theta3_sq,theta5_sq", [
+        ((2, 6, 28), "21 - sqrt(205)", "21 + sqrt(205)"),
+        ((1, 1000012, 2), "2000027/2 - 1/2*sqrt(4000096000577)",
+         "2000027/2 + 1/2*sqrt(4000096000577)"),
+    ])
+    def test_surd_strings(self, triple, theta3_sq, theta5_sq):
+        doc = analyze(*triple).to_json_dict()
+        assert (doc["theta3_sq"], doc["theta5_sq"]) == (theta3_sq, theta5_sq)
+        assert doc["verdict"] == "no-FR"
+
+    @pytest.mark.parametrize("triple", [(1, 2, 3), (2, 6, 28), (5, 7, 11),
+                                        (1, 1000012, 2), (1, 10000013, 2)])
+    def test_non_square_sigma_decided_without_factoring(self, triple,
+                                                        square_free_calls):
+        an = analyze(*triple)
+        assert an.verdict == "no-FR" and an.delta is None
+        assert square_free_calls == []
+
+    @pytest.mark.parametrize("triple,factorings", [
+        ((3, 2, 6), 0), ((1, 16, 25), 0), ((1, 1, 1), 0), ((2, 6, 28), 1),
+        ((1, 1000012, 2), 1)])
+    def test_rendering_factors_sigma_at_most_once(self, triple, factorings,
+                                                  square_free_calls):
+        an = analyze(*triple)
+        square_free_calls.clear()
+        an.to_json_dict()
+        assert (an.theta3_sq + an.theta5_sq).as_fraction() == an.mu
+        assert len(square_free_calls) == factorings
 
     def test_gamma(self):
         assert analyze(3, 2, 6).gamma == Fraction(-3, 2)
