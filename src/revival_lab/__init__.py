@@ -4,8 +4,8 @@ closed-form treatment of the fused-star family X(a, k, c).
 """
 
 from .exact import (QuadraticValue, charpoly_int, fermat_two_squares,
-                    is_perfect_square, is_prime, rationalize,
-                    square_free_part, two_adic_valuation)
+                    is_prime, rationalize, square_free_part,
+                    two_adic_valuation)
 from .graphs import (Graph, Partition, WeightedGraph, build_path,
                      build_star, build_stellar, cartesian_product,
                      graph_from_graph6, graph_from_json, graph_to_dot,

@@ -47,13 +47,6 @@ def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 # Miller-Rabin with these bases decides every n below 3.18e23 (Sorenson
 # and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -89,15 +82,28 @@ def is_prime(n: int) -> bool:
 
 
 def fermat_two_squares(p: int) -> tuple[int, int]:
-    """Write a prime p = 1 (mod 4) as f**2 + g**2 with f > g > 0."""
+    """Write a prime p = 1 (mod 4) as f**2 + g**2 with f > g > 0.
+
+    Cornacchia's algorithm (Cohen, A Course in Computational Algebraic
+    Number Theory, 1.5.2): x = c**((p - 1) / 4) mod p, for a quadratic
+    non-residue c, is a square root of -1; the Euclidean algorithm on
+    (p, x) stops at its first remainder below sqrt(p), which is f. That
+    takes O(log p) multiplications once c is found.
+    """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    for g in range(1, math.isqrt(p // 2) + 1):
-        rest = p - g * g
-        f = math.isqrt(rest)
-        if f * f == rest:
-            return f, g
-    raise AssertionError(f"no two-square decomposition found for {p}")
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    x = pow(c, (p - 1) // 4, p)
+    a, b = p, max(x, p - x)
+    root = math.isqrt(p)
+    while b > root:
+        a, b = b, a % b
+    g = math.isqrt(p - b * b)
+    if g * g != p - b * b:
+        raise AssertionError(f"no two-square decomposition found for {p}")
+    return max(b, g), min(b, g)
 
 
 def rationalize(x: float, max_denominator: int = 10**6,

@@ -59,17 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        adj = {v: self.neighbors(v) for v in range(self.n)}
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,45 +87,62 @@ class RevivalCertificate:
         }
 
 
-def _cospectral(blocks: np.ndarray, tol: float) -> bool:
-    return bool((abs(blocks[:, 0, 0] - blocks[:, 1, 1]) < tol).all())
+# The gates below take the entries (E_r)_aa, (E_r)_bb and (E_r)_ab of a pair
+# with the eigenvalue index r on the last axis and any leading batch shape:
+# () for one pair, (n, n) for every pair of a decomposition.
 
 
-def _parallel(blocks: np.ndarray, tol: float) -> bool:
-    dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-    return bool((abs(dets) <= tol).all())
+def _parallel(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
+              tol: float) -> np.ndarray:
+    """Every block [[aa, ab], [ab, bb]] has rank at most 1 (|det| <= tol)."""
+    return (abs(aa * bb - ab * ab) <= tol).all(axis=-1)
 
 
-def _gamma(D: SpectralDecomposition, blocks: np.ndarray, a: int, b: int,
-           tol: float) -> Fraction | None:
-    if D.exact is not None and (a, b) in ((0, 1), (1, 0)):
-        ex = D.exact
-        gamma = Fraction(ex.a - ex.c, ex.k)
-        return gamma if (a, b) == (0, 1) else -gamma
-    off = blocks[:, 0, 1]
-    diff = blocks[:, 0, 0] - blocks[:, 1, 1]
-    small = abs(off) <= SUPPORT_TOL * max(float(abs(off).max()), 1.0)
-    if (abs(diff[small]) > tol).any():
+def _cospectral(aa: np.ndarray, bb: np.ndarray, tol: float) -> np.ndarray:
+    return (abs(aa - bb) < tol).all(axis=-1)
+
+
+def _gamma_ratio(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(consistent, ratio): whether one ratio (aa - bb) / ab holds for every
+    r with ab above its negligible level, and that ratio (0 when no r has
+    off-diagonal weight: degenerate, treated as cospectral)."""
+    diff = aa - bb
+    mag = abs(ab)
+    weighty = mag > SUPPORT_TOL * np.maximum(mag.max(axis=-1, keepdims=True), 1.0)
+    ratios = np.divide(diff, ab, out=np.zeros_like(diff), where=weighty)
+    first = weighty & (weighty.cumsum(axis=-1) == 1)
+    ratio = (ratios * first).sum(axis=-1)  # exact: one term is nonzero
+    residual = np.where(weighty, ratios - ratio[..., None], diff)
+    return (abs(residual) <= tol).all(axis=-1), ratio
+
+
+def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
+    """gamma of the fused-star centers, exactly; None for any other pair."""
+    if D.exact is None or (a, b) not in ((0, 1), (1, 0)):
         return None
-    ratios = diff[~small] / off[~small]
-    if not ratios.size:
-        # no off-diagonal weight anywhere: degenerate, treat as cospectral
-        return Fraction(0)
-    if (abs(ratios - ratios[0]) > tol).any():
-        return None
-    return rationalize(float(ratios[0]), tol=tol)
+    gamma = Fraction(D.exact.a - D.exact.c, D.exact.k)
+    return gamma if (a, b) == (0, 1) else -gamma
+
+
+def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
+    """(aa, bb, ab, reach_a, reach_b) of one pair, each of shape (m,); the
+    reach of a is max_v |(E_r)_av|."""
+    rows = D.projector_rows([a, b])
+    reach = abs(rows).max(axis=1)
+    return rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1]
 
 
 def are_cospectral(D: SpectralDecomposition, a: int, b: int,
                    tol: float = COSPECTRAL_TOL) -> bool:
     """(E_r)_{a,a} = (E_r)_{b,b} for every projector."""
-    return _cospectral(D.pair_blocks(a, b), tol)
+    return bool(_cospectral(*_pair_entries(D, a, b)[:2], tol))
 
 
 def are_parallel(D: SpectralDecomposition, a: int, b: int,
                  tol: float = PARALLEL_TOL) -> bool:
     """Every projector restricted to {a, b} has rank at most 1."""
-    return a == b or _parallel(D.pair_blocks(a, b), tol)
+    return a == b or bool(_parallel(*_pair_entries(D, a, b)[:3], tol))
 
 
 def fractional_cospectrality(D: SpectralDecomposition, a: int, b: int,
@@ -135,16 +153,69 @@ def fractional_cospectrality(D: SpectralDecomposition, a: int, b: int,
     Exact-quadratic decompositions of the fused-star family give gamma
     exactly for the pair (0, 1).
     """
-    return _gamma(D, D.pair_blocks(a, b), a, b, tol)
+    exact = _exact_gamma(D, a, b)
+    if exact is not None:
+        return exact
+    consistent, ratio = _gamma_ratio(*_pair_entries(D, a, b)[:3], tol)
+    return rationalize(float(ratio), tol=tol) if consistent else None
 
 
-def _support_indices(D: SpectralDecomposition, a: int, b: int,
-                     tol: float) -> np.ndarray:
-    """Eigenvalue indices r with E_r e_a or E_r e_b above tol."""
-    V = D.vectors
-    # entry [i, v, r] is (E_r)_{v, a} for i = 0 and (E_r)_{v, b} for i = 1
-    columns = np.add.reduceat(V * V[[a, b], None, :], D.bounds[:-1], axis=2)
-    return np.flatnonzero(abs(columns).max(axis=(0, 1)) > tol)
+# Bit flags of a pair's gate outcomes.
+_PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4, 8
+# The gate table of all pairs is built from an (n, n, m) float array; past
+# 2**16 entries (512 KiB) a decomposition keeps answering pairs one by one.
+_TABLE_MAX_ENTRIES = 2 ** 16
+
+
+class _Gates(NamedTuple):
+    """Gate outcomes over a batch of pairs: bit flags, the gamma ratio and
+    the class sign of every eigenvalue (+1 in C+, -1 in C-, else 0)."""
+
+    flags: np.ndarray  # uint8, batch shape
+    ratio: np.ndarray  # float64, batch shape
+    signs: np.ndarray  # int8, batch shape + (m,)
+
+
+def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
+           reach_a: np.ndarray, reach_b: np.ndarray,
+           support_tol: float) -> _Gates:
+    """Every gate of certify_fr before conditions (c) and (d)."""
+    consistent, ratio = _gamma_ratio(aa, bb, ab, GAMMA_RESIDUAL_TOL)
+    # |ab| <= reach_a, so a signed eigenvalue is always in the support
+    signs = (ab > support_tol).astype(np.int8) - (ab < -support_tol)
+    supported = np.maximum(reach_a, reach_b) > support_tol
+    unclassified = (supported & (signs == 0)).any(axis=-1)
+    flags = (_parallel(aa, bb, ab, PARALLEL_TOL) * _PARALLEL
+             | _cospectral(aa, bb, COSPECTRAL_TOL) * _COSPECTRAL
+             | consistent * _COMMUTATIVE | unclassified * _UNCLASSIFIED)
+    return _Gates(flags.astype(np.uint8), ratio, signs)
+
+
+def _gate_table(D: SpectralDecomposition) -> _Gates:
+    """The gates of every pair (a, b) at once, indexed [a, b]."""
+    entries = D.projector_rows(slice(None))
+    diag = entries[np.arange(D.n), np.arange(D.n)]
+    reach = abs(entries).max(axis=1)
+    return _gates(diag[:, None], diag[None], entries, reach[:, None],
+                  reach[None], SUPPORT_TOL)
+
+
+def _pair_gates(D: SpectralDecomposition, a: int, b: int,
+                support_tol: float) -> tuple[_Gates, tuple]:
+    """The gates of (a, b) and the index that selects the pair in them.
+
+    A decomposition's second certification at the default support_tol
+    builds the table of all pairs, if it fits, and keeps it in ``D.memo``.
+    """
+    if support_tol != SUPPORT_TOL:
+        return _gates(*_pair_entries(D, a, b), support_tol), ()
+    table = D.memo.get("gates")
+    if table is None:
+        calls = D.memo["certify_calls"] = D.memo.get("certify_calls", 0) + 1
+        if calls < 2 or D.n * D.n * D.m > _TABLE_MAX_ENTRIES:
+            return _gates(*_pair_entries(D, a, b), support_tol), ()
+        table = D.memo["gates"] = _gate_table(D)
+    return table, (a, b)
 
 
 def _integer_of(x: float, tol: float) -> int | None:
@@ -189,19 +260,21 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
         raise ValueError("certification requires a connected graph")
     warnings: list[str] = []
 
-    blocks = D.pair_blocks(a, b)
-    parallel = _parallel(blocks, PARALLEL_TOL)
-    gamma = _gamma(D, blocks, a, b, GAMMA_RESIDUAL_TOL)
+    gates, pair = _pair_gates(D, a, b, support_tol)
+    flags = int(gates.flags[pair])
+    parallel = bool(flags & _PARALLEL)
+    gamma = _exact_gamma(D, a, b)
+    if gamma is None and flags & _COMMUTATIVE:
+        gamma = rationalize(float(gates.ratio[pair]), tol=GAMMA_RESIDUAL_TOL)
     commutative = gamma is not None
     if not commutative:
         warnings.append("no consistent rational gamma found")
-    cospectral = _cospectral(blocks, COSPECTRAL_TOL)
+    cospectral = bool(flags & _COSPECTRAL)
 
-    support = _support_indices(D, a, b, support_tol)
-    off = blocks[support, 0, 1]
-    c_plus = tuple(D.eigenvalues[r] for r in support[off > support_tol])
-    c_minus = tuple(D.eigenvalues[r] for r in support[off < -support_tol])
-    unclassified = len(c_plus) + len(c_minus) < len(support)
+    signs = gates.signs[pair].tolist()
+    c_plus = tuple(th for th, s in zip(D.eigenvalues, signs) if s > 0)
+    c_minus = tuple(th for th, s in zip(D.eigenvalues, signs) if s < 0)
+    unclassified = bool(flags & _UNCLASSIFIED)
 
     def result(verdict: str, delta=None, g=None, tau=None, two_adic=None):
         return RevivalCertificate((a, b), parallel, commutative, gamma,

@@ -52,6 +52,11 @@ class SpectralDecomposition:
     ``eigenvalues[r]``, so the projector is ``E_r = V_r V_r^T``. Consumers
     read these factors; the dense projectors are built only on first access
     to ``projectors``, at O(m n^2) memory.
+
+    ``memo`` holds results that consumers derive from the decomposition and
+    keep with it (the certifier's gate table). It is not part of the value:
+    equality and repr ignore it, and a ``dataclasses.replace`` copy starts
+    with an empty one.
     """
 
     eigenvalues: tuple[float, ...]
@@ -62,6 +67,8 @@ class SpectralDecomposition:
     tolerance: float = DEFAULT_GROUPING_TOL
     warnings: tuple[str, ...] = ()
     exact: StellarExact | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def n(self) -> int:
@@ -91,6 +98,12 @@ class SpectralDecomposition:
         rows = self.vectors[[a, b]]
         products = rows[:, None, :] * rows[None, :, :]
         return np.add.reduceat(products, self.bounds[:-1], axis=2).transpose(2, 0, 1)
+
+    def projector_rows(self, rows: list[int] | slice) -> np.ndarray:
+        """The (len(rows), n, m) entries [i, v, r] = (E_r)_{rows[i], v}."""
+        V = self.vectors
+        products = V[rows, None, :] * V[None, :, :]
+        return np.add.reduceat(products, self.bounds[:-1], axis=2)
 
     def pair_block(self, r: int, a: int, b: int) -> np.ndarray:
         rows = self.vectors[[a, b], self.bounds[r]:self.bounds[r + 1]]
@@ -122,16 +135,23 @@ def _group_eigenvalues(desc: np.ndarray,
 
 
 def _is_connected(A: np.ndarray) -> bool:
-    """Breadth-first search over the entries that round to a nonzero weight."""
-    adj = np.abs(np.round(A)) > 0.5
-    seen = np.zeros(A.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        reached = adj[frontier].any(axis=0) & ~seen
-        seen |= reached
-        frontier = np.nonzero(reached)[0]
-    return bool(seen.all())
+    """Stack search over the entries that round to a nonzero weight
+    (|x| > 0.5, as round() takes 0.5 to 0), in O(n + |E|) steps after one
+    pass over A."""
+    n = A.shape[0]
+    rows, cols = np.nonzero(np.abs(A) > 0.5)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    seen = [True] + [False] * (n - 1)
+    stack, reached = [0], 1
+    while stack:
+        u = stack.pop()
+        for w in cols[starts[u]:starts[u + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == n
 
 
 def decompose(X: Graph | np.ndarray,
@@ -142,7 +162,10 @@ def decompose(X: Graph | np.ndarray,
     A = X.adjacency() if isinstance(X, Graph) else np.asarray(X, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
-    if not np.allclose(A, A.T):
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
+    # np.allclose(A, A.T) as one fused test; equal for finite entries
+    if not (np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)).all():
         raise ValueError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh(A)
     # eigh sorts ascending; reversing the columns makes the clusters descend

@@ -1,12 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revival_lab.exact import (QuadraticValue, charpoly_int,
-                               fermat_two_squares, is_perfect_square,
-                               is_prime, poly_mul, poly_sub, poly_text,
+                               fermat_two_squares, is_prime, poly_mul, poly_sub, poly_text,
                                rationalize, square_free_part,
                                two_adic_valuation)
 from revival_lab.graphs import Graph, build_path, build_stellar
@@ -64,6 +64,38 @@ def test_fermat_two_squares():
         fermat_two_squares(10)
 
 
+def brute_force_two_squares(p: int) -> tuple[int, int]:
+    """Reference: search g = 1, 2, ... until p - g**2 is a square."""
+    for g in range(1, math.isqrt(p // 2) + 1):
+        f = math.isqrt(p - g * g)
+        if f * f == p - g * g:
+            return f, g
+    raise AssertionError(p)
+
+
+def test_fermat_two_squares_matches_brute_force():
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, len(sieve), d)))
+    primes = [p for p in range(5, len(sieve), 4) if sieve[p]]
+    assert len(primes) == 4783  # primes = 1 (mod 4) below 10**5
+    for p in primes:
+        assert fermat_two_squares(p) == brute_force_two_squares(p), p
+
+
+def test_fermat_two_squares_large_prime():
+    p = 1234567890123456817  # the least prime = 1 (mod 4) from 1234567890123456789
+    assert is_prime(p) and p % 4 == 1
+    start = time.perf_counter()
+    f, g = fermat_two_squares(p)
+    elapsed = time.perf_counter() - start
+    assert f * f + g * g == p and f > g > 0
+    # the O(sqrt p) search needed about 150 s here
+    assert elapsed < 0.01, elapsed
+
+
 def trial_division_is_prime(n: int) -> bool:
     """Reference primality test: a divisor search up to sqrt(n)."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -78,8 +110,6 @@ PSI_12 = 318665857834031151167461
 
 
 def test_is_perfect_square_and_prime():
-    assert is_perfect_square(0) and is_perfect_square(25)
-    assert not is_perfect_square(26) and not is_perfect_square(-4)
     assert is_prime(2) and is_prime(17) and not is_prime(1)
     assert not is_prime(91)
     for n in STRONG_PSEUDOPRIMES:

@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +111,89 @@ class TestCertifyFR:
         D = stellar_decompose(3, 2, 6)
         doc = json.loads(json.dumps(certify_fr(D, 0, 1).to_json_dict()))
         assert doc["verdict"] == "proper-FR" and doc["gamma"] == "-3/2"
+
+
+class TestGateTable:
+    """A decomposition's second certification builds the gates of all its
+    pairs at once, when n^2 m <= 2^16; the first call and any call with a
+    non-default support_tol evaluate the same gates on a batch of one."""
+
+    @staticmethod
+    def assert_paths_agree(D, label):
+        """Every ordered pair: the table of D against a fresh copy of D,
+        whose first call takes the batch of one, byte for byte."""
+        certify_fr(D, 0, 1)
+        certify_fr(D, 0, 1)
+        assert ("gates" in D.memo) == (D.n ** 2 * D.m <= 2 ** 16), label
+        for a, b in itertools.permutations(range(D.n), 2):
+            table = json.dumps(certify_fr(D, a, b).to_json_dict())
+            single = json.dumps(certify_fr(replace(D), a, b).to_json_dict())
+            assert table == single, (label, a, b)
+
+    def test_atlas_paths_agree(self):
+        import networkx as nx
+        count = 0
+        for i, g in enumerate(nx.graph_atlas_g()):
+            n = g.number_of_nodes()
+            if 2 <= n <= 7 and nx.is_connected(g):
+                self.assert_paths_agree(
+                    decompose(Graph.from_edges(n, list(g.edges()))), i)
+                count += 1
+        assert count == 995  # every connected graph on 2..7 vertices
+
+    def test_random_graphs_paths_agree(self):
+        import networkx as nx
+        crossed = 0
+        for n in (8, 13, 21, 30, 40, 41):
+            g = nx.gnp_random_graph(n, 0.3, seed=n)
+            assert nx.is_connected(g)
+            D = decompose(Graph.from_edges(n, list(g.edges())))
+            crossed += D.n ** 2 * D.m > 2 ** 16
+            self.assert_paths_agree(D, n)
+        assert crossed == 1  # n^2 m <= 2^16 fails only at n = 41
+
+    def test_built_on_second_call_and_compact(self):
+        D = decompose(build_path(7))
+        certify_fr(D, 0, 6)
+        assert "gates" not in D.memo
+        certify_fr(D, 1, 5)
+        flags, ratio, signs = D.memo["gates"]
+        assert (flags.dtype, ratio.dtype, signs.dtype) == (
+            np.uint8, np.float64, np.int8)
+        assert (flags.shape, ratio.shape, signs.shape) == (
+            (7, 7), (7, 7), (7, 7, D.m))
+        # no view keeps a float temporary of the build alive
+        assert all(x.base is None for x in (flags, ratio, signs))
+
+    def test_no_table_past_the_guard(self):
+        D = decompose(build_path(60))
+        assert D.n ** 2 * D.m > 2 ** 16
+        certify_fr(D, 0, 59)
+        certify_fr(D, 1, 58)
+        assert "gates" not in D.memo
+
+    def test_non_default_support_tol(self):
+        D = decompose(build_path(5))
+        certify_fr(D, 0, 4)
+        assert certify_fr(D, 0, 4).verdict == "none"
+        assert "gates" in D.memo
+        # with a coarse support threshold the small eigenvalue weights drop
+        # out; the table, built at the default, must not answer this
+        cert = certify_fr(D, 0, 4, support_tol=0.2)
+        assert cert.verdict == "proper-FR"
+        assert (cert.delta, cert.g) == (1, 2)
+        assert cert.tau_min == pytest.approx(math.pi)
+        assert cert.c_plus == pytest.approx([0.0], abs=1e-12)
+        assert sorted(cert.c_minus) == pytest.approx([-1.0, 1.0])
+
+    def test_replace_copy_does_not_share_the_table(self):
+        D = decompose(build_path(5))
+        certify_fr(D, 0, 4)
+        certify_fr(D, 1, 3)
+        copy = replace(D)
+        assert "gates" in D.memo and copy.memo == {}
+        assert "memo" not in repr(D)
+        assert stellar_decompose(3, 2, 6).memo == {}
 
 
 class TestVerifyFRAt:

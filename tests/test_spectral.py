@@ -45,6 +45,19 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite(self):
+        for x, y in [(np.nan, np.nan), (np.inf, np.inf), (np.inf, -np.inf),
+                     (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                decompose(np.array([[0.0, x], [y, 0.0]]))
+
+    def test_connectivity_reads_rounded_weights(self):
+        # a weight rounds to an edge when |w| > 0.5; round() takes 0.5 to 0
+        for w, connected in [(0.5, False), (-0.5, False), (0.51, True),
+                             (-0.7, True), (1.0, True)]:
+            A = np.array([[0, 1, 0], [1, 0, w], [0, w, 0]], dtype=float)
+            assert decompose(A).connected is connected, w
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             decompose(build_path(2), grouping_tolerance=0)
