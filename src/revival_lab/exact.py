@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,18 +26,78 @@ def square_free_part(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     delta, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            m *= d ** (e // 2)
-            if e % 2:
-                delta *= d
+    for p, e in Counter(_prime_factors(n)).items():
+        m *= p ** (e // 2)
+        if e % 2:
+            delta *= p
+    return delta, m
+
+
+# Trial division finds the primes below this; larger ones are split off by
+# Pollard-Brent rho, with a gcd taken every _RHO_BATCH steps.
+_TRIAL_LIMIT = 1000
+_RHO_BATCH = 128
+
+
+def _trial_division(n: int, d: int, limit: float) -> tuple[list[int], int, int]:
+    """Divide out of n the primes from d up to below ``limit`` while d**2 <= n;
+    returns (primes with multiplicity, cofactor, next d)."""
+    primes = []
+    while d < limit and d * d <= n:
+        while n % d == 0:
+            primes.append(d)
+            n //= d
         d += 1 if d == 2 else 2
-    return delta * n, m
+    return primes, n, d
+
+
+def _prime_factors(n: int, d: int = 2) -> list[int]:
+    """The prime factors, with multiplicity, of an n >= 1 that has none
+    below d. Past _TRIAL_LIMIT a cofactor is prime when below d**2 or when
+    ``is_prime`` proves it, and is split by Pollard-Brent rho otherwise. A
+    probable prime past the proven range of ``is_prime`` is left to trial
+    division, so the result is exact either way."""
+    primes, n, d = _trial_division(n, d, _TRIAL_LIMIT)
+    if d * d <= n:
+        try:
+            prime = is_prime(n)
+        except ValueError:
+            more, n, _ = _trial_division(n, d, math.inf)
+            return primes + more + ([n] if n > 1 else [])
+        if not prime:
+            q = _pollard_brent(n)
+            return primes + _prime_factors(q, d) + _prime_factors(n // q, d)
+    return primes + ([n] if n > 1 else [])
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n: Pollard's rho on
+    x -> x**2 + c with Brent's cycle search and batched gcds (Brent, "An
+    improved Monte Carlo factorization algorithm", BIT 20, 1980). A c whose
+    cycle closes modulo n itself is replaced by the next one."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it with one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def two_adic_valuation(n: int) -> int:

@@ -178,9 +178,14 @@ class _Gates(NamedTuple):
 
 def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
            reach_a: np.ndarray, reach_b: np.ndarray,
-           support_tol: float) -> _Gates:
-    """Every gate of certify_fr before conditions (c) and (d)."""
-    consistent, ratio = _gamma_ratio(aa, bb, ab, GAMMA_RESIDUAL_TOL)
+           support_tol: float, with_ratio: bool = True) -> _Gates:
+    """Every gate of certify_fr before conditions (c) and (d). Without
+    ``with_ratio`` (gamma is known exactly) the gamma ratio is not computed:
+    it reads 0 and the commutative flag stays clear."""
+    if with_ratio:
+        consistent, ratio = _gamma_ratio(aa, bb, ab, GAMMA_RESIDUAL_TOL)
+    else:
+        consistent, ratio = False, np.zeros(np.shape(aa)[:-1])
     # |ab| <= reach_a, so a signed eigenvalue is always in the support
     signs = (ab > support_tol).astype(np.int8) - (ab < -support_tol)
     supported = np.maximum(reach_a, reach_b) > support_tol
@@ -201,19 +206,23 @@ def _gate_table(D: SpectralDecomposition) -> _Gates:
 
 
 def _pair_gates(D: SpectralDecomposition, a: int, b: int,
-                support_tol: float) -> tuple[_Gates, tuple]:
+                support_tol: float, with_ratio: bool) -> tuple[_Gates, tuple]:
     """The gates of (a, b) and the index that selects the pair in them.
 
     A decomposition's second certification at the default support_tol
     builds the table of all pairs, if it fits, and keeps it in ``D.memo``.
+    A pair that the decomposition's quotient answers does not build it:
+    the table needs the dense eigenvectors.
     """
     if support_tol != SUPPORT_TOL:
-        return _gates(*_pair_entries(D, a, b), support_tol), ()
+        return _gates(*_pair_entries(D, a, b), support_tol, with_ratio), ()
     table = D.memo.get("gates")
     if table is None:
         calls = D.memo["certify_calls"] = D.memo.get("certify_calls", 0) + 1
-        if calls < 2 or D.n * D.n * D.m > _TABLE_MAX_ENTRIES:
-            return _gates(*_pair_entries(D, a, b), support_tol), ()
+        if calls < 2 or D.n * D.n * D.m > _TABLE_MAX_ENTRIES \
+                or D.on_quotient([a, b]):
+            return (_gates(*_pair_entries(D, a, b), support_tol, with_ratio),
+                    ())
         table = D.memo["gates"] = _gate_table(D)
     return table, (a, b)
 
@@ -260,10 +269,10 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
         raise ValueError("certification requires a connected graph")
     warnings: list[str] = []
 
-    gates, pair = _pair_gates(D, a, b, support_tol)
+    gamma = _exact_gamma(D, a, b)
+    gates, pair = _pair_gates(D, a, b, support_tol, gamma is None)
     flags = int(gates.flags[pair])
     parallel = bool(flags & _PARALLEL)
-    gamma = _exact_gamma(D, a, b)
     if gamma is None and flags & _COMMUTATIVE:
         gamma = rationalize(float(gates.ratio[pair]), tol=GAMMA_RESIDUAL_TOL)
     commutative = gamma is not None
@@ -346,7 +355,12 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
 def verify_fr_at(D: SpectralDecomposition, a: int, b: int,
                  t: float) -> FRObservation:
     """Measure off-block leakage and cross amplitude of U(t) at {a, b}."""
-    rows = transition_rows(D, [a, b], t)
+    return _fr_observation(transition_rows(D, [a, b], t), a, b, t)
+
+
+def _fr_observation(rows: np.ndarray, a: int, b: int,
+                    t: float) -> FRObservation:
+    """The observation at {a, b} from the rows a and b of U(t)."""
     block = rows[:, [a, b]]
     leak = np.abs(rows)
     leak[:, [a, b]] = 0.0

@@ -3,13 +3,14 @@
 Arbitrary graphs get a numeric symmetric eigen-solve with gap-based
 eigenvalue grouping. Fused-star graphs get an exact-quadratic backing:
 eigenvalue squares and the projector blocks on the two centers are computed
-in closed form over a single radicand.
+in closed form over a single radicand, and queries on the centers are
+answered from the five-cell quotient, with no eigen-solve of size n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,6 +46,27 @@ class StellarExact:
 
 
 @dataclass(frozen=True)
+class Quotient:
+    """The symmetrized quotient B = Q^T A Q of an equitable partition whose
+    cells are runs of consecutive vertices, ``sizes`` long in vertex order.
+
+    Column r of ``vectors`` is B's unit eigenvector w_r for the r-th
+    eigenvalue of the decomposition (one each), with row j divided by
+    sqrt(sizes[j]): the value of the eigenvector Q w_r of A on every vertex
+    of cell j. ``singletons`` maps each vertex that is a cell of its own to
+    its cell. For such a vertex u, e_u = Q e_cell(u) lies in the A-invariant
+    span of Q, so E_r e_u = (Q w_r)(Q w_r)_u and U(t) e_u = Q exp(itB)
+    e_cell(u) (Godsil & Royle, Algebraic Graph Theory, ch. 9): its rows of
+    every E_r and of U(t) are rows over the cells, lifted to the vertices by
+    repeating each cell's entry.
+    """
+
+    vectors: np.ndarray = field(repr=False)
+    sizes: tuple[int, ...]
+    singletons: dict[int, int]
+
+
+@dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct eigenvalues (descending) with their orthonormal eigenvectors.
 
@@ -53,6 +75,13 @@ class SpectralDecomposition:
     read these factors; the dense projectors are built only on first access
     to ``projectors``, at O(m n^2) memory.
 
+    ``factors`` holds ``vectors`` when they are known at construction. A
+    quotient-backed decomposition (the fused stars) leaves it None: its
+    ``pair_blocks``, ``pair_block``, ``projector_rows`` and
+    ``transition_rows`` answer from ``quotient`` when every requested row
+    is a singleton cell, and anything else that reads ``vectors`` builds
+    them on first access with a dense ``eigh``, then keeps them.
+
     ``memo`` holds results that consumers derive from the decomposition and
     keep with it (the certifier's gate table). It is not part of the value:
     equality and repr ignore it, and a ``dataclasses.replace`` copy starts
@@ -60,19 +89,20 @@ class SpectralDecomposition:
     """
 
     eigenvalues: tuple[float, ...]
-    vectors: np.ndarray = field(repr=False)
+    factors: np.ndarray | None = field(repr=False)
     bounds: tuple[int, ...]
     connected: bool
     backing: str = "numeric"
     tolerance: float = DEFAULT_GROUPING_TOL
     warnings: tuple[str, ...] = ()
     exact: StellarExact | None = None
+    quotient: Quotient | None = field(default=None, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return self.bounds[-1]
 
     @property
     def m(self) -> int:
@@ -83,11 +113,42 @@ class SpectralDecomposition:
         return tuple(int(d) for d in np.diff(self.bounds))
 
     @cached_property
+    def vectors(self) -> np.ndarray:
+        """The (n, n) eigenvectors: ``factors``, or for a quotient-backed
+        X(a, k, c) those of ``decompose``, which must fall into clusters of
+        multiplicities 1, 1, n - 4, 1, 1."""
+        if self.factors is not None:
+            return self.factors
+        e = self.exact
+        D = decompose(build_stellar(e.a, e.k, e.c))
+        if D.bounds != self.bounds:
+            raise ArithmeticError("unexpected eigenvalue multiplicities")
+        return D.vectors
+
+    @cached_property
     def projectors(self) -> tuple[np.ndarray, ...]:
         """Dense E_r = V_r V_r^T, built on first access and then kept."""
         V, bounds = self.vectors, self.bounds
         return tuple(V[:, lo:hi] @ V[:, lo:hi].T
                      for lo, hi in zip(bounds, bounds[1:]))
+
+    def on_quotient(self, rows: list[int] | slice) -> bool:
+        """Whether the quotient answers queries on these rows."""
+        q = self.quotient
+        return (q is not None and not isinstance(rows, slice)
+                and all(u in q.singletons for u in rows))
+
+    def _row_factors(self, rows: list[int] | slice) -> tuple:
+        """(V[rows], V, bounds, sizes) for a query on ``rows``: the
+        quotient's cell vectors with one column per eigenvalue when it
+        answers them, else the dense factors. ``sizes`` repeats V's rows up
+        to the vertices (None: they are the vertices already)."""
+        if self.on_quotient(rows):
+            q = self.quotient
+            cells = [q.singletons[u] for u in rows]
+            return (q.vectors[cells], q.vectors, tuple(range(self.m + 1)),
+                    q.sizes)
+        return self.vectors[rows], self.vectors, self.bounds, None
 
     def adjacency(self) -> np.ndarray:
         thetas = np.repeat(self.eigenvalues, self.multiplicities)
@@ -95,19 +156,26 @@ class SpectralDecomposition:
 
     def pair_blocks(self, a: int, b: int) -> np.ndarray:
         """The (m, 2, 2) restrictions of every E_r to {a, b}."""
-        rows = self.vectors[[a, b]]
+        rows, _, bounds, _ = self._row_factors([a, b])
         products = rows[:, None, :] * rows[None, :, :]
-        return np.add.reduceat(products, self.bounds[:-1], axis=2).transpose(2, 0, 1)
+        return np.add.reduceat(products, bounds[:-1], axis=2).transpose(2, 0, 1)
 
     def projector_rows(self, rows: list[int] | slice) -> np.ndarray:
         """The (len(rows), n, m) entries [i, v, r] = (E_r)_{rows[i], v}."""
-        V = self.vectors
-        products = V[rows, None, :] * V[None, :, :]
-        return np.add.reduceat(products, self.bounds[:-1], axis=2)
+        R, V, bounds, sizes = self._row_factors(rows)
+        products = R[:, None, :] * V[None, :, :]
+        return _lift(np.add.reduceat(products, bounds[:-1], axis=2), sizes, 1)
 
     def pair_block(self, r: int, a: int, b: int) -> np.ndarray:
-        rows = self.vectors[[a, b], self.bounds[r]:self.bounds[r + 1]]
+        rows, _, bounds, _ = self._row_factors([a, b])
+        rows = rows[:, bounds[r]:bounds[r + 1]]
         return rows @ rows.T
+
+
+def _lift(x: np.ndarray, sizes: tuple[int, ...] | None,
+          axis: int) -> np.ndarray:
+    """Cell values on ``axis`` repeated over the vertices of each cell."""
+    return x if sizes is None else np.repeat(x, sizes, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -185,10 +253,10 @@ def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
     """Rows of U(t) = exp(itA), as (V[rows] diag(exp(i t theta))) V^T."""
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    V = D.vectors
+    R, V, bounds, sizes = D._row_factors(rows)
     phases = np.repeat(np.exp(1j * t * np.asarray(D.eigenvalues)),
-                       D.multiplicities)
-    return (V[rows] * phases) @ V.T
+                       np.diff(bounds))
+    return _lift((R * phases) @ V.T, sizes, -1)
 
 
 def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
@@ -197,40 +265,67 @@ def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
 
 
 def _stellar_exact_data(a: int, k: int, c: int) -> StellarExact:
+    """The exact record of X(a, k, c). With theta^2 = (mu +- sqrt(sigma))/2
+    the blocks on the centers are [[1/4 + x, e], [e, 1/4 - x]] for +-theta5
+    and [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, where
+    x = (a - c) sqrt(sigma) / (4 sigma) and e = k sqrt(sigma) / (2 sigma);
+    sqrt(sigma) is theta5^2 - theta3^2, in the radicand analyze found, so
+    each entry is built once, over that square-free radicand."""
     an = analyze(a, k, c)
     y3, y5 = an.theta3_sq, an.theta5_sq
+    root = y5 - y3  # s + m sqrt(delta) with integers s, m, one of them 0
+    s, m, delta = int(root.p), int(root.q), root.delta
+    d, den = a - c, 4 * an.sigma
+
+    def entry(p: int, q: int) -> QuadraticValue:
+        return QuadraticValue._reduced(Fraction(p, den), Fraction(q, den),
+                                       delta)
+
+    e00, e11 = entry(an.sigma + d * s, d * m), entry(an.sigma - d * s, -d * m)
+    e01 = entry(2 * k * s, 2 * k * m)
     zero = QuadraticValue.of(0)
-
-    def block(y: QuadraticValue) -> tuple[tuple[QuadraticValue, ...], ...]:
-        denom = (y * 2 - an.mu) * 2  # +-2 sqrt(sigma)
-        e00 = (y - (c + k)) / denom
-        e11 = (y - (a + k)) / denom
-        e01 = QuadraticValue.of(k) / denom
-        return ((e00, e01), (e01, e11))
-
+    plus = ((e00, e01), (e01, e11))
+    minus = ((e11, -e01), (-e01, e00))
     zero_block = ((zero, zero), (zero, zero))
     # order matches descending eigenvalues: theta5, theta3, 0, -theta3, -theta5
     squares = (y5, y3, zero, y3, y5)
-    blocks = (block(y5), block(y3), zero_block, block(y3), block(y5))
+    blocks = (plus, minus, zero_block, minus, plus)
     return StellarExact(a, k, c, an.mu, an.sigma, squares, blocks)
+
+
+def _stellar_quotient(a: int, k: int, c: int) -> np.ndarray:
+    """B = Q^T A Q over ``stellar_partition(a, k, c)``: the path through the
+    cells a, {0}, k, {1}, c with weights sqrt(a), sqrt(k), sqrt(k), sqrt(c)."""
+    w = np.sqrt(np.array([a, k, k, c], dtype=float))
+    return np.diag(w, 1) + np.diag(w, -1)
 
 
 def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
     """Spectral decomposition of X(a, k, c) with exact-quadratic backing.
 
-    ``decompose`` supplies the eigenvectors, which must fall into five
-    clusters of multiplicities 1, 1, n - 4, 1, 1. The eigenvalues are
-    replaced by the closed forms +-theta5, +-theta3 and 0; the projector
-    blocks on the centers {0, 1} and the eigenvalue squares are carried
-    exactly.
+    The eigenvalues are the closed forms +-theta5, +-theta3 and 0, of
+    multiplicities 1, 1, n - 4, 1, 1; the projector blocks on the centers
+    {0, 1} and the eigenvalue squares are carried exactly. Queries on the
+    centers are answered from the eigenvectors of the 5x5 quotient; the
+    dense eigenvectors are built only when something reads ``vectors``.
     """
     exact = _stellar_exact_data(a, k, c)
-    D = decompose(build_stellar(a, k, c))
-    if D.multiplicities != (1, 1, D.n - 4, 1, 1):
-        raise ArithmeticError("unexpected eigenvalue multiplicities")
     theta5, theta3 = (math.sqrt(float(y)) for y in exact.eigenvalue_squares[:2])
-    return replace(D, eigenvalues=(theta5, theta3, 0.0, -theta3, -theta5),
-                   backing="exact-quadratic", exact=exact)
+    eigenvalues = (theta5, theta3, 0.0, -theta3, -theta5)
+    threshold = DEFAULT_GROUPING_TOL * max(1.0, theta5)
+    groups, warnings = _group_eigenvalues(np.array(eigenvalues), threshold)
+    if len(groups) != 6:
+        raise ArithmeticError("unexpected eigenvalue multiplicities")
+    # eigh ascends; the cells go from the path's order a, {0}, k, {1}, c to
+    # build_stellar's vertex order {0}, {1}, a, k, c
+    sizes = (1, 1, a, k, c)
+    W = np.linalg.eigh(_stellar_quotient(a, k, c))[1]
+    W = W[[1, 3, 0, 2, 4], ::-1] / np.sqrt(np.array(sizes, dtype=float))[:, None]
+    n = a + k + c + 2
+    return SpectralDecomposition(
+        eigenvalues, None, (0, 1, 2, n - 2, n - 1, n), True,
+        "exact-quadratic", DEFAULT_GROUPING_TOL, tuple(warnings), exact,
+        Quotient(W, sizes, {0: 0, 1: 1}))
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:

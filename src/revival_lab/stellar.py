@@ -61,8 +61,8 @@ class StellarAnalysis:
         if s * s == self.sigma:
             return (QuadraticValue.of(Fraction(self.mu - s, 2)),
                     QuadraticValue.of(Fraction(self.mu + s, 2)))
-        root = QuadraticValue.sqrt(self.sigma)
-        return (self.mu - root) / 2, (self.mu + root) / 2
+        root, half = QuadraticValue.sqrt(self.sigma), Fraction(1, 2)
+        return (self.mu - root) * half, (self.mu + root) * half
 
     @property
     def theta3_sq(self) -> QuadraticValue:

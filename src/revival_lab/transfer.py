@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import charpoly_int
-from .graphs import Graph, build_stellar, cartesian_product, induced_subgraph
-from .revival import FRObservation, verify_fr_at
-from .spectral import SpectralDecomposition, decompose, transition_matrix
+from .graphs import Graph, induced_subgraph
+from .revival import FRObservation, _fr_observation
+from .spectral import (SpectralDecomposition, stellar_decompose,
+                       transition_matrix, transition_rows)
 from .states import StateMatrix, _state_array, subset_state
 from .stellar import analyze
 
@@ -173,12 +174,25 @@ class PolygamyReport:
                 and self.center_observation.is_proper(tol, 1e-3))
 
 
+def _product_rows(D: SpectralDecomposition, vertices: list[tuple[int, int]],
+                  t: float) -> np.ndarray:
+    """Rows of U(t) on K2 x X at the product vertices (x, y), from the rows
+    y of U_X(t): U_{K2 x X}(t) = U_K2(t) (x) U_X(t), with
+    U_K2(t) = [[cos t, i sin t], [i sin t, cos t]]."""
+    xs, ys = zip(*vertices)
+    k2 = np.array([[math.cos(t), 1j * math.sin(t)],
+                   [1j * math.sin(t), math.cos(t)]])
+    rows = transition_rows(D, list(ys), t)
+    return (k2[list(xs), :, None] * rows[:, None, :]).reshape(len(xs), -1)
+
+
 def polygamy_witness(a: int, k: int, c: int, ell: int) -> PolygamyReport:
     """Witness polygamous FR on K2 x X(a, k, c) for tau_min = pi/(2*ell+1).
 
     Proper FR holds on the two copies of vertex 0 at 2*tau_min and on the
     two fused-star centers at pi = (2*ell+1)*tau_min; both pairs share the
-    vertex (0, 0).
+    vertex (0, 0). The rows of U(t) on both pairs are built from the rows of
+    U_X(t) on the centers of X, which its quotient answers.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -191,17 +205,17 @@ def polygamy_witness(a: int, k: int, c: int, ell: int) -> PolygamyReport:
         raise ValueError(
             f"tau_min of X({a},{k},{c}) is {an.tau_min:.6g}, not pi/{odd}")
 
-    X = build_stellar(a, k, c)
-    K2 = Graph.from_edges(2, [(0, 1)])
-    Z = cartesian_product(K2, X)
-    D = decompose(Z)
-    n = X.n
+    D = stellar_decompose(a, k, c)
+    n = D.n
     twin = (0, n)       # (0, 0) and (1, 0)
     centers = (0, 1)    # (0, 0) and (0, 1)
-    twin_obs = verify_fr_at(D, *twin, 2 * an.tau_min)
-    center_obs = verify_fr_at(D, *centers, math.pi)
-    return PolygamyReport(a, k, c, ell, an.tau_min, twin, 2 * an.tau_min,
-                          twin_obs, centers, math.pi, center_obs)
+    t = 2 * an.tau_min
+    twin_obs = _fr_observation(_product_rows(D, [(0, 0), (1, 0)], t),
+                               *twin, t)
+    center_obs = _fr_observation(_product_rows(D, [(0, 0), (0, 1)], math.pi),
+                                 *centers, math.pi)
+    return PolygamyReport(a, k, c, ell, an.tau_min, twin, t, twin_obs,
+                          centers, math.pi, center_obs)
 
 
 __all__ = [

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,16 @@ class TestFamilyCommand:
         _, sequential = run_cli(["family", "--p", "5", "--delta", "1",
                                  "--alpha", "2..4", "--beta", "3..6"])
         assert text == sequential
+
+    def test_large_prime_polygamy(self):
+        # the eigenvalue squares are near 1e16; their square-free parts
+        # need a factoring step below sqrt(n)
+        start = time.perf_counter()
+        code, text = run_cli(["family", "--p", "100000037", "--polygamy", "1"])
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(text)
+        assert code == 0 and doc["verdict"] == "proper-FR" and doc["diophantine"]
+        assert doc["tau_min"] == pytest.approx(math.pi / 100000037)
 
     def test_non_prime_rejected(self):
         code, _ = run_cli(["family", "--p", "6", "--polygamy", "1"])

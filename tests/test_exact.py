@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -33,6 +34,41 @@ class TestSquareFreePart:
         assert delta * m * m == n
         for d in range(2, math.isqrt(delta) + 1):
             assert delta % (d * d) != 0
+
+    @staticmethod
+    def trial_division(n):
+        delta, m, d = 1, 1, 2
+        while d * d <= n:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            m *= d ** (e // 2)
+            delta *= d ** (e % 2)
+            d += 1
+        return delta * n, m
+
+    def test_matches_trial_division(self):
+        rng = random.Random(3)
+        for n in [rng.randrange(1, 10**7) for _ in range(3000)] + \
+                 list(range(999_000, 1_003_000)):
+            assert square_free_part(n) == self.trial_division(n), n
+
+    def test_products_of_30_bit_primes(self):
+        rng = random.Random(30)
+
+        def prime():
+            while True:
+                q = rng.getrandbits(30) | (1 << 29) | 1
+                if is_prime(q):
+                    return q
+
+        for _ in range(4):
+            p, q = prime(), prime()
+            assert square_free_part(p * q) == (p * q, 1)
+            assert square_free_part(p * p) == (1, p)
+            assert square_free_part(12 * p * p * q) == (3 * q, 2 * p)
+            assert square_free_part(p ** 3 * q ** 2) == (p, p * q)
 
 
 class TestTwoAdic:

@@ -186,6 +186,25 @@ class TestGateTable:
         assert cert.c_plus == pytest.approx([0.0], abs=1e-12)
         assert sorted(cert.c_minus) == pytest.approx([-1.0, 1.0])
 
+    def test_exact_gamma_skips_the_ratio(self, monkeypatch):
+        from revival_lab import revival
+        calls = []
+        real = revival._gamma_ratio
+
+        def counting(*args):
+            calls.append(np.broadcast_shapes(*(x.shape for x in args[:3])))
+            return real(*args)
+
+        monkeypatch.setattr(revival, "_gamma_ratio", counting)
+        D = stellar_decompose(3, 2, 6)
+        assert certify_fr(D, 0, 1).gamma == Fraction(-3, 2)
+        assert certify_fr(D, 1, 0).gamma == Fraction(3, 2)
+        # the quotient's pairs do not build the table
+        assert calls == [] and "gates" not in D.memo
+        # another pair does, on the third call, and computes the ratio there
+        certify_fr(D, 0, 2)
+        assert calls == [(D.n, D.n, D.m)] and "gates" in D.memo
+
     def test_replace_copy_does_not_share_the_table(self):
         D = decompose(build_path(5))
         certify_fr(D, 0, 4)

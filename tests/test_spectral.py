@@ -1,4 +1,9 @@
+import io
+import itertools
+import json
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +16,10 @@ from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
                                   eigenvalue_text, exact_char_poly,
                                   spectral_report, stellar_decompose,
-                                  transition_matrix)
+                                  transition_matrix, transition_rows)
 from revival_lab.states import subset_state, support_graph
+from revival_lab.stellar import analyze
+from revival_lab.transfer import polygamy_witness
 
 
 class TestDecompose:
@@ -101,7 +108,7 @@ class TestStellarDecompose:
                             [Fraction(-2, 10), Fraction(1, 10)]]
 
     def test_exact_matches_numeric(self):
-        for (a, k, c) in [(3, 2, 6), (1, 4, 1), (2, 6, 11)]:
+        for (a, k, c) in [(3, 2, 6), (1, 4, 1), (2, 6, 11), (5, 3, 9)]:
             D = stellar_decompose(a, k, c)
             for r in range(5):
                 numeric = D.pair_block(r, 0, 1)
@@ -120,7 +127,7 @@ class TestStellarDecompose:
         assert (y5 + y3).as_fraction() == a + 2 * k + c
         assert (y5 * y3).as_fraction() == a * k + c * k + a * c
 
-    def test_built_on_decompose_and_analyze(self, monkeypatch):
+    def test_built_on_analyze_and_lazy_decompose(self, monkeypatch):
         from revival_lab import spectral
         seen = {}
 
@@ -135,12 +142,29 @@ class TestStellarDecompose:
         recording("decompose")
         recording("analyze")
         D = stellar_decompose(2, 6, 28)
-        an, numeric = seen["analyze"], seen["decompose"]
+        an = seen["analyze"]
         assert (D.exact.mu, D.exact.sigma) == (an.mu, an.sigma)
         assert D.exact.eigenvalue_squares[0] is an.theta5_sq
         assert D.exact.eigenvalue_squares[1] is an.theta3_sq
-        assert D.vectors is numeric.vectors and D.bounds == numeric.bounds
+        certify_fr(D, 0, 1)
+        verify_fr_at(D, 0, 1, 1.0)
+        assert "decompose" not in seen and "vectors" not in vars(D)
+        # the dense eigenvectors come from decompose on first access
+        V = D.vectors
+        numeric = seen["decompose"]
+        assert V is numeric.vectors and D.bounds == numeric.bounds
         assert D.eigenvalues == pytest.approx(numeric.eigenvalues)
+        assert D.vectors is V
+
+    def test_lazy_dense_build_checks_multiplicities(self, monkeypatch):
+        from revival_lab import spectral
+        D = stellar_decompose(3, 2, 6)
+        # a graph on the same n vertices whose eigenvalues are all simple
+        monkeypatch.setattr(spectral, "build_stellar",
+                            lambda a, k, c: build_path(a + k + c + 2))
+        assert certify_fr(D, 0, 1).verdict == "proper-FR"
+        with pytest.raises(ArithmeticError, match="multiplicities"):
+            D.adjacency()
 
     def test_reconstruction(self):
         D = stellar_decompose(3, 2, 6)
@@ -252,3 +276,77 @@ def test_hot_paths_leave_projectors_unbuilt():
     transfer.detect_subset_transfer(D, {0}, {199}, 1.0)
     assert "projectors" not in vars(D)
     assert len(D.projectors) == D.m and "projectors" in vars(D)
+
+
+class TestStellarQuotient:
+    """Queries on the centers of X(a, k, c) come from the 5-cell quotient.
+    The referee is the same decomposition answered from its dense
+    eigenvectors, as stellar_decompose did before it had a quotient."""
+
+    @staticmethod
+    def dense(D):
+        """D answered from dense eigenvectors, built on a copy of D."""
+        return replace(D, factors=replace(D).vectors, quotient=None)
+
+    @staticmethod
+    def triples():
+        rng = random.Random(9)
+        small = itertools.product(range(1, 13), repeat=3)
+        sample = [tuple(rng.randint(1, 40) for _ in range(3)) for _ in range(60)]
+        return [*small, *sample]
+
+    def test_agrees_with_dense(self):
+        for a, k, c in self.triples():
+            D = stellar_decompose(a, k, c)
+            ref = self.dense(D)
+            label = (a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                assert np.abs(D.pair_blocks(*pair) - ref.pair_blocks(*pair)).max() < 1e-12, label
+            assert all(np.abs(D.pair_block(r, 0, 1) - ref.pair_block(r, 0, 1)).max() < 1e-12
+                       for r in range(D.m)), label
+            for rows in ([0, 1], [1]):
+                assert np.abs(D.projector_rows(rows) - ref.projector_rows(rows)).max() < 1e-12, label
+            tau = analyze(a, k, c).tau_min
+            for t in (0.4, 2.3, tau or 5.1):
+                U = transition_rows(D, [0, 1], t)
+                assert np.abs(U - transition_rows(ref, [0, 1], t)).max() < 1e-12, label
+                obs, ref_obs = verify_fr_at(D, 0, 1, t), verify_fr_at(ref, 0, 1, t)
+                assert abs(obs.off_block_norm - ref_obs.off_block_norm) < 1e-12, label
+                assert abs(obs.cross_amplitude - ref_obs.cross_amplitude) < 1e-12, label
+                assert np.abs(obs.block - ref_obs.block).max() < 1e-12, label
+            for pair in ((0, 1), (1, 0)):
+                # a fresh copy each time: one call builds no gate table
+                cert = json.dumps(certify_fr(D, *pair).to_json_dict())
+                assert cert == json.dumps(certify_fr(replace(ref), *pair).to_json_dict()), label
+            assert "vectors" not in vars(D), label
+
+    def test_quotient_matrix_is_the_symmetrized_quotient(self):
+        from revival_lab.graphs import stellar_partition, symmetrized_quotient
+        from revival_lab.spectral import _stellar_quotient
+        for a, k, c in [(1, 1, 1), (3, 2, 6), (16, 36, 37), (7, 1, 40)]:
+            B = symmetrized_quotient(build_stellar(a, k, c),
+                                     stellar_partition(a, k, c)).weights
+            assert np.array_equal(_stellar_quotient(a, k, c), B)
+
+    def test_center_queries_never_solve_dense(self, monkeypatch):
+        from revival_lab.cli import main
+        real = np.linalg.eigh
+
+        def small_only(A, *args, **kwargs):
+            if np.shape(A)[0] > 10:
+                raise AssertionError(f"eigh of size {np.shape(A)[0]}")
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only)
+        D = stellar_decompose(400, 800, 1200)
+        assert analyze(400, 800, 1200).verdict == "no-FR"
+        assert certify_fr(D, 0, 1).verdict == "none"
+        verify_fr_at(D, 0, 1, 1.7)
+        assert certify_fr(stellar_decompose(16, 36, 37), 0, 1).is_proper
+        assert polygamy_witness(16, 36, 37, 2).is_polygamous
+        out = io.StringIO()
+        assert main(["analyze", "--stellar", "400,800,1200", "--pair", "0", "1"],
+                    out) == 1
+        assert json.loads(out.getvalue())["certificate"]["pair"] == [0, 1]
+        with pytest.raises(AssertionError, match="eigh of size"):
+            D.adjacency()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revival_lab.graphs import build_path, build_stellar, cartesian_product
-from revival_lab.revival import certify_fr
+from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, transition_matrix
 from revival_lab.states import is_periodic, subset_state
 from revival_lab.transfer import (average_state_equality,
@@ -157,6 +157,23 @@ class TestPolygamyWitness:
         assert report.center_observation.off_block_norm < 1e-7
         # overlapping pairs share vertex (0, 0) = index 0
         assert set(report.twin_pair) & set(report.center_pair) == {0}
+
+    @pytest.mark.parametrize("a,k,c,ell", [(16, 36, 37, 2), (10, 30, 55, 2),
+                                           (27, 18, 54, 1)])
+    def test_matches_dense_product(self, a, k, c, ell):
+        """Against verify_fr_at on a dense decomposition of K2 x X."""
+        report = polygamy_witness(a, k, c, ell)
+        X = build_stellar(a, k, c)
+        D = decompose(cartesian_product(build_path(2), X))
+        for pair, t, obs in [(report.twin_pair, report.twin_time,
+                              report.twin_observation),
+                             (report.center_pair, report.center_time,
+                              report.center_observation)]:
+            ref = verify_fr_at(D, *pair, t)
+            assert abs(obs.off_block_norm - ref.off_block_norm) < 1e-12
+            assert abs(obs.cross_amplitude - ref.cross_amplitude) < 1e-12
+            assert np.abs(obs.block - ref.block).max() < 1e-12
+        assert report.twin_pair == (0, X.n) and report.center_pair == (0, 1)
 
     def test_rejects_wrong_tau(self):
         with pytest.raises(ValueError):
