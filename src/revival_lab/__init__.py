@@ -13,20 +13,17 @@ from .graphs import (Graph, Partition, WeightedGraph, build_path,
                      is_equitable, stellar_cells, stellar_partition,
                      symmetrized_quotient)
 from .spectral import (SpectralDecomposition, StellarExact, TransitionMatrix,
-                       char_poly_suite, decompose, exact_char_poly,
-                       spectral_report, stellar_decompose, transition_matrix,
-                       transition_rows)
+                       char_poly_suite, decompose, stellar_decompose,
+                       transition_matrix, transition_rows)
 from .states import (StateMatrix, SupportGraph, average_state,
                      eigenvalue_support, is_periodic, subset_state,
-                     support_divisibility_check, support_graph,
-                     support_graph_to_dot, vertex_state)
+                     support_graph, support_graph_to_dot)
 from .revival import (BalancedResult, FRObservation, RevivalCertificate,
                       are_cospectral, are_parallel, balanced_fr_analysis,
-                      certify_fr, fractional_cospectrality,
-                      support_structure_check, verify_fr_at)
+                      certify_fr, fractional_cospectrality, verify_fr_at)
 from .stellar import (FamilyRecipe, StellarAnalysis, analyze,
                       diophantine_check, double_star_tree, generate_family,
-                      generate_polygamy_triple, k1_no_fr_check)
+                      generate_polygamy_triple)
 from .transfer import (PolygamyReport, SubsetTransferReport,
                        average_state_equality, detect_subset_transfer,
                        induced_cospectrality, induced_transfer_check,

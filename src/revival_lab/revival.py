@@ -368,20 +368,6 @@ def _fr_observation(rows: np.ndarray, a: int, b: int,
                          block)
 
 
-def support_structure_check(D: SpectralDecomposition, a: int, b: int,
-                            tol: float | None = None) -> bool:
-    """Support graph of D_{a,b} splits into exactly two complete-with-loops
-    components plus loopless isolated vertices.
-    """
-    from .states import subset_state, support_graph
-
-    G = support_graph(D, subset_state({a, b}, D.n), tol)
-    comps = G.components()
-    if len(comps) != 2:
-        return False
-    return all(G.is_complete_with_loops(comp) for comp in comps)
-
-
 @dataclass(frozen=True)
 class BalancedResult:
     kind: str  # not-balanced | balanced-PST-route | balanced-noncospectral-route
@@ -420,6 +406,5 @@ def balanced_fr_analysis(D: SpectralDecomposition, a: int, b: int,
 __all__ = [
     "FRObservation", "RevivalCertificate", "BalancedResult",
     "are_cospectral", "are_parallel", "fractional_cospectrality",
-    "certify_fr", "verify_fr_at", "support_structure_check",
-    "balanced_fr_analysis", "square_free_part", "two_adic_valuation",
+    "certify_fr", "verify_fr_at", "balanced_fr_analysis",
 ]

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import QuadraticValue, charpoly_int, square_free_part
+from .exact import QuadraticValue
 from .graphs import Graph, build_stellar
-from .stellar import analyze
+from .stellar import StellarAnalysis, analyze
 
 DEFAULT_GROUPING_TOL = 1e-9
 
@@ -66,7 +66,7 @@ class Quotient:
     singletons: dict[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Distinct eigenvalues (descending) with their orthonormal eigenvectors.
 
@@ -83,9 +83,11 @@ class SpectralDecomposition:
     them on first access with a dense ``eigh``, then keeps them.
 
     ``memo`` holds results that consumers derive from the decomposition and
-    keep with it (the certifier's gate table). It is not part of the value:
-    equality and repr ignore it, and a ``dataclasses.replace`` copy starts
-    with an empty one.
+    keep with it (the certifier's gate table). repr leaves it out, and a
+    ``dataclasses.replace`` copy starts with an empty one.
+
+    Equality and hash are by identity: the factors are arrays, whose
+    comparison has no single truth value.
     """
 
     eigenvalues: tuple[float, ...]
@@ -96,9 +98,8 @@ class SpectralDecomposition:
     tolerance: float = DEFAULT_GROUPING_TOL
     warnings: tuple[str, ...] = ()
     exact: StellarExact | None = None
-    quotient: Quotient | None = field(default=None, repr=False, compare=False)
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+    quotient: Quotient | None = field(default=None, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -264,14 +265,15 @@ def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
     return TransitionMatrix(float(t), transition_rows(D, slice(None), t))
 
 
-def _stellar_exact_data(a: int, k: int, c: int) -> StellarExact:
-    """The exact record of X(a, k, c). With theta^2 = (mu +- sqrt(sigma))/2
-    the blocks on the centers are [[1/4 + x, e], [e, 1/4 - x]] for +-theta5
-    and [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, where
+def _stellar_exact_data(an: StellarAnalysis) -> StellarExact:
+    """The exact record of X(a, k, c) from its analysis ``an``. With
+    theta^2 = (mu +- sqrt(sigma))/2 the blocks on the centers are
+    [[1/4 + x, e], [e, 1/4 - x]] for +-theta5 and
+    [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, where
     x = (a - c) sqrt(sigma) / (4 sigma) and e = k sqrt(sigma) / (2 sigma);
     sqrt(sigma) is theta5^2 - theta3^2, in the radicand analyze found, so
     each entry is built once, over that square-free radicand."""
-    an = analyze(a, k, c)
+    a, k, c = an.a, an.k, an.c
     y3, y5 = an.theta3_sq, an.theta5_sq
     root = y5 - y3  # s + m sqrt(delta) with integers s, m, one of them 0
     s, m, delta = int(root.p), int(root.q), root.delta
@@ -309,7 +311,13 @@ def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
     centers are answered from the eigenvectors of the 5x5 quotient; the
     dense eigenvectors are built only when something reads ``vectors``.
     """
-    exact = _stellar_exact_data(a, k, c)
+    return _stellar_decomposition(analyze(a, k, c))
+
+
+def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
+    """``stellar_decompose`` of the triple that ``an`` analyzed."""
+    exact = _stellar_exact_data(an)
+    a, k, c = an.a, an.k, an.c
     theta5, theta3 = (math.sqrt(float(y)) for y in exact.eigenvalue_squares[:2])
     eigenvalues = (theta5, theta3, 0.0, -theta3, -theta5)
     threshold = DEFAULT_GROUPING_TOL * max(1.0, theta5)
@@ -353,50 +361,8 @@ def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:
     }
 
 
-def exact_char_poly(X: Graph) -> list[int]:
-    """Exact characteristic polynomial of a graph's adjacency matrix."""
-    A = [[int(x) for x in row] for row in X.adjacency()]
-    return charpoly_int(A)
-
-
-def spectral_report(D: SpectralDecomposition, a: int = 0, b: int = 1) -> dict:
-    """JSON-ready summary: eigenvalues, multiplicities, {a,b} blocks."""
-    report: dict = {
-        "backing": D.backing,
-        "eigenvalues": [float(th) for th in D.eigenvalues],
-        "multiplicities": list(D.multiplicities),
-        "pair": [a, b],
-        "pair_blocks": D.pair_blocks(a, b).tolist(),
-    }
-    if D.exact is not None and (a, b) == (0, 1):
-        report["exact_pair_blocks"] = [
-            [[str(x) for x in row] for row in block]
-            for block in D.exact.pair_blocks
-        ]
-        report["exact_eigenvalue_squares"] = [
-            str(y) for y in D.exact.eigenvalue_squares
-        ]
-    if D.warnings:
-        report["warnings"] = list(D.warnings)
-    return report
-
-
-def eigenvalue_text(value: float, square: QuadraticValue | None = None) -> str:
-    """Render an eigenvalue, exactly when its square is a known integer."""
-    if square is not None and square.is_rational:
-        y = square.as_fraction()
-        if y.denominator == 1:
-            delta, m = square_free_part(int(y)) if y else (1, 0)
-            sign = "-" if value < 0 else ""
-            if delta == 1:
-                return f"{sign}{m}"
-            return f"{sign}{m}*sqrt({delta})" if m != 1 else f"{sign}sqrt({delta})"
-    return f"{value:.6g}"
-
-
 __all__ = [
     "SpectralDecomposition", "StellarExact", "TransitionMatrix",
     "decompose", "transition_matrix", "transition_rows", "stellar_decompose",
-    "char_poly_suite", "exact_char_poly", "spectral_report",
-    "eigenvalue_text",
+    "char_poly_suite",
 ]

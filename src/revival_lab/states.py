@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -56,10 +55,6 @@ def subset_state(S: Iterable[int], n: int) -> StateMatrix:
     d = np.zeros(n)
     d[list(S)] = 1.0
     return StateMatrix(np.diag(d))
-
-
-def vertex_state(a: int, n: int) -> StateMatrix:
-    return subset_state({a}, n)
 
 
 def _state_array(rho: StateMatrix | np.ndarray) -> np.ndarray:
@@ -157,12 +152,14 @@ def support_graph(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
 
 def average_state(D: SpectralDecomposition,
                   rho: StateMatrix | np.ndarray) -> np.ndarray:
-    """Time-averaged state: sum_r E_r rho E_r."""
+    """Time-averaged state: sum_r E_r rho E_r = V blockdiag(G_rr) V^T with
+    G = V^T rho V, in one O(n^3) pass."""
     M = _state_array(rho)
-    out = np.zeros_like(M, dtype=float)
-    for E in D.projectors:
-        out += E @ M @ E
-    return out
+    V = D.vectors
+    cluster = np.repeat(np.arange(D.m), D.multiplicities)
+    G = V.T @ M @ V
+    G[cluster[:, None] != cluster[None, :]] = 0.0
+    return V @ G @ V.T
 
 
 def is_periodic(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
@@ -171,19 +168,6 @@ def is_periodic(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
     M = _state_array(rho)
     U = transition_matrix(D, t).entries
     return bool(np.abs(U @ M - M @ U).max() < tol)
-
-
-def support_divisibility_check(support: Iterable[tuple[float, float]],
-                               delta: int, tol: float = 1e-8) -> bool:
-    """True iff (theta_r - theta_s)/sqrt(delta) is an integer for all pairs."""
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
-    root = math.sqrt(delta)
-    for th_r, th_s in support:
-        q = (th_r - th_s) / root
-        if abs(q - round(q)) > tol:
-            return False
-    return True
 
 
 def support_graph_to_dot(G: SupportGraph,

@@ -214,18 +214,8 @@ def double_star_tree(a: int) -> tuple[Graph, float]:
     return Graph.from_edges(2 * a + 2, edges), 2 * math.pi / math.sqrt(4 * a + 1)
 
 
-def k1_no_fr_check(a: int, c: int) -> bool:
-    """True iff X(a, 1, c) admits no proper FR on the centers.
-
-    The trees in the family (k = 1) never do: sigma = 4 + (a-c)^2 is a
-    perfect square only when a = c, and then 2 = delta*(beta^2 - alpha^2)
-    has no solution.
-    """
-    return analyze(a, 1, c).verdict != "proper-FR"
-
-
 __all__ = [
     "StellarAnalysis", "FamilyRecipe", "analyze", "diophantine_check",
     "generate_family", "generate_polygamy_triple", "double_star_tree",
-    "k1_no_fr_check", "POSITIVITY_RATIO",
+    "POSITIVITY_RATIO",
 ]

@@ -10,9 +10,9 @@ import pytest
 from revival_lab.graphs import Graph, build_path, build_stellar
 from revival_lab.revival import (are_cospectral, are_parallel,
                                  balanced_fr_analysis, certify_fr,
-                                 fractional_cospectrality,
-                                 support_structure_check, verify_fr_at)
+                                 fractional_cospectrality, verify_fr_at)
 from revival_lab.spectral import decompose, stellar_decompose
+from revival_lab.states import subset_state, support_graph
 from revival_lab.stellar import double_star_tree
 
 
@@ -234,13 +234,23 @@ class TestVerifyFRAt:
 
 
 class TestSupportStructure:
+    """On a pair with FR, the support graph of D_{a,b} is two
+    complete-with-loops components plus loopless isolated vertices."""
+
+    @staticmethod
+    def two_complete_components(D, a, b):
+        G = support_graph(D, subset_state({a, b}, D.n))
+        comps = G.components()
+        return len(comps) == 2 and all(G.is_complete_with_loops(comp)
+                                       for comp in comps)
+
     def test_proper_fr_pair(self):
         D = stellar_decompose(3, 2, 6)
-        assert support_structure_check(D, 0, 1)
+        assert self.two_complete_components(D, 0, 1)
 
     def test_non_fr_pair(self):
         D = decompose(build_path(4))
-        assert not support_structure_check(D, 0, 1)
+        assert not self.two_complete_components(D, 0, 1)
 
 
 class TestBalanced:

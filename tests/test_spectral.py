@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from revival_lab import transfer
-from revival_lab.exact import poly_mul
+from revival_lab.exact import charpoly_int
 from revival_lab.graphs import build_path, build_star, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
-                                  eigenvalue_text, exact_char_poly,
-                                  spectral_report, stellar_decompose,
-                                  transition_matrix, transition_rows)
-from revival_lab.states import subset_state, support_graph
+                                  stellar_decompose, transition_matrix,
+                                  transition_rows)
+from revival_lab.states import average_state, subset_state, support_graph
 from revival_lab.stellar import analyze
 from revival_lab.transfer import polygamy_witness
 
@@ -68,6 +67,13 @@ class TestDecompose:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             decompose(build_path(2), grouping_tolerance=0)
+
+    def test_equality_and_hash_by_identity(self):
+        D, D2 = decompose(build_path(3)), decompose(build_path(3))
+        assert D == D and D != D2
+        assert {D: 1, D2: 2}[D] == 1
+        S = stellar_decompose(3, 2, 6)
+        assert S == S and S != stellar_decompose(3, 2, 6) and {S: 1}[S] == 1
 
 
 class TestTransitionMatrix:
@@ -175,7 +181,8 @@ class TestCharPolySuite:
     @pytest.mark.parametrize("a,k,c", [(3, 2, 6), (1, 1, 1), (2, 6, 11)])
     def test_phi_matches_direct_computation(self, a, k, c):
         suite = char_poly_suite(a, k, c)
-        assert suite["phi"] == exact_char_poly(build_stellar(a, k, c))
+        A = build_stellar(a, k, c).adjacency()
+        assert suite["phi"] == charpoly_int(A.astype(int).tolist())
 
     def test_deleted_vertex_polys(self):
         # X minus a center is a star plus isolated leaves
@@ -206,22 +213,6 @@ class TestCharPolySuite:
             D = stellar_decompose(3 * m, 2 * m, 6 * m)
             for r in range(5):
                 assert D.exact.pair_blocks[r] == base.exact.pair_blocks[r]
-
-
-def test_spectral_report_shape():
-    D = stellar_decompose(3, 2, 6)
-    report = spectral_report(D)
-    assert report["backing"] == "exact-quadratic"
-    assert len(report["pair_blocks"]) == 5
-    assert "exact_pair_blocks" in report
-
-
-def test_eigenvalue_text():
-    from revival_lab.exact import QuadraticValue
-    assert eigenvalue_text(3.0, QuadraticValue.of(9)) == "3"
-    assert eigenvalue_text(-math.sqrt(5), QuadraticValue.of(5)) == "-sqrt(5)"
-    assert eigenvalue_text(2 * math.sqrt(5), QuadraticValue.of(20)) == "2*sqrt(5)"
-    assert eigenvalue_text(1.234567) == "1.23457"
 
 
 def test_grouping_warning_near_threshold():
@@ -274,6 +265,10 @@ def test_hot_paths_leave_projectors_unbuilt():
     verify_fr_at(D, 0, 199, 1.0)
     support_graph(D, subset_state({0, 199}, D.n))
     transfer.detect_subset_transfer(D, {0}, {199}, 1.0)
+    rho1, rho2 = subset_state({0}, D.n), subset_state({199}, D.n)
+    average_state(D, rho1)
+    transfer.average_state_equality(D, rho1, rho2)
+    transfer.induced_transfer_check(D, rho1, rho2, 1.0)
     assert "projectors" not in vars(D)
     assert len(D.projectors) == D.m and "projectors" in vars(D)
 

@@ -7,9 +7,8 @@ from revival_lab.graphs import build_path, build_stellar
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import (StateMatrix, average_state,
                                 eigenvalue_support, is_periodic,
-                                subset_state, support_divisibility_check,
-                                support_graph, support_graph_to_dot,
-                                vertex_state)
+                                subset_state, support_graph,
+                                support_graph_to_dot)
 
 
 class TestStateMatrix:
@@ -39,7 +38,7 @@ class TestStateMatrix:
 class TestEigenvalueSupport:
     def test_vertex_state_full_support_on_path(self):
         D = decompose(build_path(3))
-        pairs = eigenvalue_support(D, vertex_state(0, 3))
+        pairs = eigenvalue_support(D, subset_state({0}, 3))
         # an end vertex of P3 sees every eigenvalue pair
         assert len(pairs) == 9
 
@@ -63,6 +62,8 @@ class TestEigenvalueSupport:
                 ref = {(D.eigenvalues[r], D.eigenvalues[s])
                        for r, s in zip(*np.nonzero(peaks > threshold))}
                 assert eigenvalue_support(D, M) == ref, name
+                average = sum(P @ M @ P for P in E)
+                assert np.abs(average_state(D, M) - average).max() < 1e-12, name
 
     def test_identity_sees_only_loops(self):
         D = decompose(build_path(3))
@@ -81,13 +82,13 @@ class TestSupportGraph:
 
     def test_vertex_state_complete(self):
         D = decompose(build_path(3))
-        G = support_graph(D, vertex_state(0, 3))
+        G = support_graph(D, subset_state({0}, 3))
         comps = G.components()
         assert len(comps) == 1 and G.is_complete_with_loops(comps[0])
 
     def test_dot_rendering(self):
         D = decompose(build_path(2))
-        G = support_graph(D, vertex_state(0, 2))
+        G = support_graph(D, subset_state({0}, 2))
         text = support_graph_to_dot(G, colors={0: "lightblue"})
         assert "0 -- 0;" in text and "lightblue" in text
 
@@ -95,7 +96,7 @@ class TestSupportGraph:
 class TestAverageState:
     def test_commutes_with_evolution(self):
         D = decompose(build_stellar(2, 3, 4))
-        rho = vertex_state(0, D.n)
+        rho = subset_state({0}, D.n)
         avg = average_state(D, rho)
         # the average state is a fixed point of the walk
         from revival_lab.spectral import transition_matrix
@@ -111,8 +112,8 @@ class TestAverageState:
 class TestPeriodicity:
     def test_k2_period(self):
         D = decompose(build_path(2))
-        assert is_periodic(D, vertex_state(0, 2), math.pi)
-        assert not is_periodic(D, vertex_state(0, 2), 1.0)
+        assert is_periodic(D, subset_state({0}, 2), math.pi)
+        assert not is_periodic(D, subset_state({0}, 2), 1.0)
 
     def test_stellar_pair_period(self):
         D = stellar_decompose(3, 2, 6)
@@ -120,13 +121,4 @@ class TestPeriodicity:
         assert is_periodic(D, rho, 2 * math.pi)
         # FR time: the pair state is preserved but individual vertices move
         assert is_periodic(D, rho, math.pi)
-        assert not is_periodic(D, vertex_state(0, D.n), math.pi)
-
-
-def test_support_divisibility_check():
-    assert support_divisibility_check([(3.0, -3.0), (3.0, 3.0)], 1)
-    root2 = math.sqrt(2)
-    assert support_divisibility_check([(2 * root2, -root2)], 2)
-    assert not support_divisibility_check([(1.5, 0.0)], 1)
-    with pytest.raises(ValueError):
-        support_divisibility_check([], 0)
+        assert not is_periodic(D, subset_state({0}, D.n), math.pi)

@@ -8,7 +8,7 @@ from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.stellar import (FamilyRecipe, analyze, diophantine_check,
                                  double_star_tree, generate_family,
-                                 generate_polygamy_triple, k1_no_fr_check)
+                                 generate_polygamy_triple)
 
 
 class TestAnalyze:
@@ -176,9 +176,13 @@ class TestDoubleStar:
 
 
 class TestK1NoFR:
+    """The trees of the family (k = 1) never have proper FR on the centers:
+    sigma = 4 + (a - c)^2 is a square only when a = c, and then
+    2 = delta (beta^2 - alpha^2) has no solution."""
+
     @pytest.mark.parametrize("a,c", [(1, 1), (4, 4), (2, 6), (3, 10)])
     def test_trees_never_proper(self, a, c):
-        assert k1_no_fr_check(a, c)
+        assert analyze(a, 1, c).verdict != "proper-FR"
 
 
 def test_exhaustive_agreement_small():

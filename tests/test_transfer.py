@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +104,42 @@ class TestAverageStateEquality:
                                       subset_state({2, 5}, 6))
 
 
+class TestProjectorParity:
+    """average_state_equality and induced_transfer_check read the factors;
+    their verdicts equal those of the sums over explicit projectors."""
+
+    @staticmethod
+    def states(D, pairs, rng):
+        R = rng.standard_normal((D.n, 2))
+        return [R @ R.T] + [subset_state(S, D.n).entries
+                            for S in pairs[:1] + [(0,), (D.n - 1,)]]
+
+    def test_average_state_equality(self, parity_cases):
+        rng = np.random.default_rng(5)
+        for name, D, E, pairs in parity_cases:
+            states = self.states(D, pairs, rng)
+            for M1, M2 in itertools.product(states, repeat=2):
+                ref = all(float(np.abs(P @ M1 @ P - P @ M2 @ P).max()) < 1e-8
+                          for P in E)
+                assert average_state_equality(D, M1, M2) == ref, name
+
+    def test_induced_transfer_check(self, parity_cases):
+        rng = np.random.default_rng(6)
+        for name, D, E, pairs in parity_cases:
+            states = self.states(D, pairs, rng)
+            # rho E_r rho for every state, and rho^2 last
+            sides = [[M @ P @ M for P in E] + [M @ M] for M in states]
+            for t in (0.0, math.pi / 2, 1.3):
+                U = sum(np.exp(1j * t * th) * P
+                        for th, P in zip(D.eigenvalues, E))
+                moved = [[U @ X @ U.conj().T for X in side] for side in sides]
+                for i, j in itertools.product(range(len(states)), repeat=2):
+                    ok = tuple(bool(float(np.abs(x - y).max()) < 1e-8)
+                               for x, y in zip(moved[i], sides[j]))
+                    got = induced_transfer_check(D, states[i], states[j], t)
+                    assert got == (ok[:-1], ok[-1]), (name, t)
+
+
 class TestInducedTransferCheck:
     def test_identity_states(self):
         D = decompose(build_path(3))
@@ -176,9 +213,29 @@ class TestPolygamyWitness:
         assert report.twin_pair == (0, X.n) and report.center_pair == (0, 1)
 
     def test_rejects_wrong_tau(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not pi/3"):
             polygamy_witness(3, 2, 6, 1)  # tau_min = pi, not pi/3
 
     def test_rejects_no_fr(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no proper FR"):
             polygamy_witness(1, 2, 3, 1)
+        # rejected before the exact data, whose non-square sigma = 4e30 + 1
+        # would need its square-free part
+        with pytest.raises(ValueError, match="no proper FR"):
+            polygamy_witness(1, 10**15, 2, 1)
+        with pytest.raises(ValueError, match="ell must be a positive"):
+            polygamy_witness(16, 36, 37, 0)
+
+    def test_one_analyze_call(self, monkeypatch):
+        from revival_lab import spectral, stellar, transfer
+        real, calls = stellar.analyze, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        for module in (spectral, stellar, transfer):
+            monkeypatch.setattr(module, "analyze", counting)
+        for a, k, c, ell in [(16, 36, 37, 2), (27, 18, 54, 1)]:
+            calls.clear()
+            assert polygamy_witness(a, k, c, ell).is_polygamous
+            assert calls == [(a, k, c)]
