@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,8 +50,9 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            A[u, v] = A[v, u] = 1.0
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp,
+                           2 * len(self.edges)).reshape(-1, 2)
+        A[ends[:, 0], ends[:, 1]] = A[ends[:, 1], ends[:, 0]] = 1.0
         return A
 
     def neighbors(self, v: int) -> set[int]:

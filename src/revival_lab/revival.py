@@ -127,7 +127,16 @@ def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
 
 def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
     """(aa, bb, ab, reach_a, reach_b) of one pair, each of shape (m,); the
-    reach of a is max_v |(E_r)_av|."""
+    reach of a is max_v |(E_r)_av|.
+
+    When every eigenvalue is simple and the factors are dense, (E_r)_av is
+    V[a, r] V[v, r], and the reach |V[a, r]| max_v |V[v, r]| equals that of
+    ``projector_rows`` bit for bit: rounding preserves order."""
+    if D.m == D.n and D.factors is not None:
+        V = D.factors
+        ra, rb = V[a], V[b]
+        peak = abs(V).max(axis=0)
+        return ra * ra, rb * rb, ra * rb, abs(ra) * peak, abs(rb) * peak
     rows = D.projector_rows([a, b])
     reach = abs(rows).max(axis=1)
     return rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1]

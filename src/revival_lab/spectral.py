@@ -21,6 +21,9 @@ from .graphs import Graph, build_stellar
 from .stellar import StellarAnalysis, analyze
 
 DEFAULT_GROUPING_TOL = 1e-9
+# Vertices from which a bipartite graph is solved by the SVD of its half-size
+# block rather than by eigh of A (measured crossover, see CHANGES.md).
+_SVD_MIN_VERTICES = 48
 
 
 @dataclass(frozen=True)
@@ -223,9 +226,63 @@ def _is_connected(A: np.ndarray) -> bool:
     return reached == n
 
 
+def _sides(X: Graph) -> tuple[bool, list[int] | None]:
+    """(connected, side) from one stack search over the edge list: side[v]
+    is 0 or 1 with every edge joining the two sides, or None when an edge
+    joins two vertices of one side (the graph has an odd cycle)."""
+    adjacent: list[list[int]] = [[] for _ in range(X.n)]
+    for u, v in X.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    side = [-1] * X.n
+    bipartite, components = True, 0
+    for root in range(X.n):
+        if side[root] >= 0:
+            continue
+        components += 1
+        side[root], stack = 0, [root]
+        while stack:
+            u = stack.pop()
+            for w in adjacent[u]:
+                if side[w] < 0:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    bipartite = False
+    return components == 1, side if bipartite else None
+
+
+def _bipartite_eigh(A: np.ndarray,
+                    side: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and eigenvectors of A = [[0, B], [B^T, 0]]
+    (rows and columns in the order of ``side``'s 0s, then its 1s) from the
+    SVD B = U diag(s) W^T of the half-size block: (u_i, +-w_i)/sqrt(2) has
+    eigenvalue +-s_i, and the columns of U and W past the k = len(s) paired
+    ones, padded with zeros, span the rest of the kernel. The spectrum is
+    exactly symmetric."""
+    n = A.shape[0]
+    ones = np.asarray(side, dtype=bool)
+    left, right = np.flatnonzero(~ones), np.flatnonzero(ones)
+    U, s, Wt = np.linalg.svd(A[np.ix_(left, right)])
+    k, p = len(s), len(left)
+    h = math.sqrt(0.5)
+    V = np.zeros((n, n))
+    V[left, :k] = U[:, :k] * h
+    V[right, :k] = Wt[:k].T * h
+    V[left, n - k:] = np.flip(U[:, :k], 1) * h
+    V[right, n - k:] = np.flip(Wt[:k].T, 1) * -h
+    V[left, k:p] = U[:, k:]
+    V[right, p:n - k] = Wt[k:].T
+    return np.concatenate([s, np.zeros(n - 2 * k), -s[::-1]]), V
+
+
 def decompose(X: Graph | np.ndarray,
               grouping_tolerance: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
-    """Numeric spectral decomposition with gap-based eigenvalue grouping."""
+    """Numeric spectral decomposition with gap-based eigenvalue grouping.
+
+    A bipartite ``Graph`` on at least ``_SVD_MIN_VERTICES`` vertices is
+    solved by the SVD of its half-size block, any other input by ``eigh``.
+    """
     if grouping_tolerance <= 0:
         raise ValueError("grouping tolerance must be positive")
     A = X.adjacency() if isinstance(X, Graph) else np.asarray(X, dtype=float)
@@ -234,30 +291,42 @@ def decompose(X: Graph | np.ndarray,
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     # np.allclose(A, A.T) as one fused test; equal for finite entries
-    if not (np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)).all():
+    if not np.array_equal(A, A.T) and \
+            not (np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)).all():
         raise ValueError("matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(A)
-    # eigh sorts ascending; reversing the columns makes the clusters descend
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    connected, side = _sides(X) if isinstance(X, Graph) \
+        else (_is_connected(A), None)
+    by_svd = side is not None and A.shape[0] >= _SVD_MIN_VERTICES
+    if by_svd:
+        vals, vecs = _bipartite_eigh(A, side)
+    else:
+        vals, vecs = np.linalg.eigh(A)
+        # eigh sorts ascending; reversed, the clusters descend
+        vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
     radius = float(np.abs(vals).max(initial=0.0))
     threshold = grouping_tolerance * max(1.0, radius)
     bounds, warnings = _group_eigenvalues(vals, threshold)
     eigenvalues = np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
-    return SpectralDecomposition(tuple(eigenvalues.tolist()),
-                                 np.ascontiguousarray(vecs), tuple(bounds),
-                                 _is_connected(A), "numeric",
+    if by_svd:
+        # the clusters mirror each other; their means are made to as well
+        eigenvalues = (eigenvalues - eigenvalues[::-1]) / 2
+    return SpectralDecomposition(tuple(eigenvalues.tolist()), vecs,
+                                 tuple(bounds), connected, "numeric",
                                  grouping_tolerance, tuple(warnings))
 
 
 def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
                     t: float) -> np.ndarray:
-    """Rows of U(t) = exp(itA), as (V[rows] diag(exp(i t theta))) V^T."""
+    """Rows of U(t) = exp(itA), as (V[rows] diag(exp(i t theta))) V^T: the
+    real and imaginary parts come from one real product of the stacked
+    rows [R cos(t theta); R sin(t theta)] with V^T."""
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     R, V, bounds, sizes = D._row_factors(rows)
-    phases = np.repeat(np.exp(1j * t * np.asarray(D.eigenvalues)),
-                       np.diff(bounds))
-    return _lift((R * phases) @ V.T, sizes, -1)
+    angles = np.repeat(t * np.asarray(D.eigenvalues), np.diff(bounds))
+    parts = np.concatenate([R * np.cos(angles), R * np.sin(angles)]) @ V.T
+    k = len(R)
+    return _lift(parts[:k] + 1j * parts[k:], sizes, -1)
 
 
 def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:

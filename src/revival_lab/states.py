@@ -26,7 +26,11 @@ class StateMatrix:
             raise ValueError("state matrix must be square")
         if not np.allclose(M, M.T):
             raise ValueError("state matrix must be symmetric")
-        if np.linalg.eigvalsh(M).min() < -PSD_TOL:
+        # a diagonal matrix's eigenvalues are its diagonal: no O(n^3) solve
+        d = np.diagonal(M)
+        lowest = (d.min() if np.count_nonzero(M) == np.count_nonzero(d)
+                  else np.linalg.eigvalsh(M).min())
+        if lowest < -PSD_TOL:
             raise ValueError("state matrix must be positive semidefinite")
         if self.normalized and abs(np.trace(M) - 1.0) > PSD_TOL:
             raise ValueError("normalized state must have trace 1")
@@ -67,9 +71,9 @@ def _support_threshold(rho: np.ndarray, tol: float | None) -> float:
     return DEFAULT_SUPPORT_TOL * max(float(np.abs(rho).max()), 1e-300)
 
 
-def eigenvalue_support(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                       tol: float | None = None) -> set[tuple[float, float]]:
-    """Pairs (theta_r, theta_s) with E_r rho E_s nonzero (above tol)."""
+def _support_mask(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
+                  tol: float | None) -> np.ndarray:
+    """(m, m) booleans: [r, s] when E_r rho E_s is nonzero (above tol)."""
     M = _state_array(rho)
     if M.shape[0] != D.n:
         raise ValueError("dimension mismatch")
@@ -87,6 +91,13 @@ def eigenvalue_support(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
             for i, j in ((r, s), (s, r)):
                 E_rho_E = V[:, cols[i]] @ G[cols[i], cols[j]] @ V[:, cols[j]].T
                 big[i, j] = np.abs(E_rho_E).max() > threshold
+    return big
+
+
+def eigenvalue_support(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
+                       tol: float | None = None) -> set[tuple[float, float]]:
+    """Pairs (theta_r, theta_s) with E_r rho E_s nonzero (above tol)."""
+    big = _support_mask(D, rho, tol)
     return {(D.eigenvalues[r], D.eigenvalues[s])
             for r, s in zip(*np.nonzero(big))}
 
@@ -137,17 +148,11 @@ class SupportGraph:
 
 def support_graph(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
                   tol: float | None = None) -> SupportGraph:
-    pairs = eigenvalue_support(D, rho, tol)
-    index = {th: r for r, th in enumerate(D.eigenvalues)}
-    loops, edges = set(), set()
-    for th_r, th_s in pairs:
-        r, s = index[th_r], index[th_s]
-        if r == s:
-            loops.add(r)
-        else:
-            edges.add((min(r, s), max(r, s)))
+    big = _support_mask(D, rho, tol)
+    loops = np.flatnonzero(np.diagonal(big)).tolist()
+    r, s = np.nonzero(np.triu(big | big.T, 1))
     return SupportGraph(tuple(D.eigenvalues), frozenset(loops),
-                        frozenset(edges))
+                        frozenset(zip(r.tolist(), s.tolist())))
 
 
 def average_state(D: SpectralDecomposition,

@@ -65,14 +65,22 @@ def _recovered_graph(D: SpectralDecomposition) -> Graph:
 def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
                            t: float,
                            tol: float = DEFAULT_TRANSFER_TOL) -> SubsetTransferReport:
-    """Measure the residual of U(t) D_S U(-t) = D_T and the block structure."""
+    """Measure the residual of U(t) D_S U(-t) = D_T and the block structure.
+
+    U(t) is symmetric, so its rows on S | T are all that is read: they give
+    the columns U[:, S] of the residual U[:, S] U[:, S]^* - D_T, and one side
+    of each zero block lies in S | T."""
     S, T = set(S), set(T)
     if not S or not T:
         raise ValueError("subsets must be nonempty")
-    DS = subset_state(S, D.n).entries
     DT = subset_state(T, D.n).entries
-    U = transition_matrix(D, t).entries
-    residual = float(np.abs(U @ DS @ U.conj().T - DT).max())
+    union = sorted(S | T)
+    if union[0] < 0 or union[-1] >= D.n:
+        raise ValueError("vertex out of range")
+    rows = transition_rows(D, union, t)
+    at = {v: i for i, v in enumerate(union)}
+    W = rows[[at[v] for v in sorted(S)]]
+    residual = float(np.abs(W.T @ W.conj() - DT).max())
 
     groups = [sorted(S - T), sorted(S & T), sorted(T - S),
               sorted(set(range(D.n)) - S - T)]
@@ -81,7 +89,9 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
         if not groups[i] or not groups[j]:
             pattern.append(True)
             continue
-        block = U[np.ix_(groups[i], groups[j])]
+        if i == 3:  # the complement: read the block from the other side
+            i, j = j, i
+        block = rows[np.ix_([at[v] for v in groups[i]], groups[j])]
         pattern.append(bool(np.abs(block).max() < tol))
 
     X = _recovered_graph(D)

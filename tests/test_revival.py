@@ -113,6 +113,24 @@ class TestCertifyFR:
         assert doc["verdict"] == "proper-FR" and doc["gamma"] == "-3/2"
 
 
+def test_singleton_pair_entries_match_projector_rows(parity_cases):
+    """With every eigenvalue simple, _pair_entries reads rows of V; its five
+    arrays equal those read from projector_rows, bit for bit."""
+    from revival_lab.revival import _pair_entries
+    checked = 0
+    for name, D, _, pairs in parity_cases:
+        if D.m != D.n or D.factors is None:
+            continue
+        for a, b in pairs:
+            rows = D.projector_rows([a, b])
+            reach = abs(rows).max(axis=1)
+            ref = (rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1])
+            got = _pair_entries(D, a, b)
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref)), name
+            checked += 1
+    assert checked > 500
+
+
 class TestGateTable:
     """A decomposition's second certification builds the gates of all its
     pairs at once, when n^2 m <= 2^16; the first call and any call with a

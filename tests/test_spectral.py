@@ -11,7 +11,7 @@ import pytest
 
 from revival_lab import transfer
 from revival_lab.exact import charpoly_int
-from revival_lab.graphs import build_path, build_star, build_stellar
+from revival_lab.graphs import Graph, build_path, build_star, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
                                   stellar_decompose, transition_matrix,
@@ -325,14 +325,19 @@ class TestStellarQuotient:
 
     def test_center_queries_never_solve_dense(self, monkeypatch):
         from revival_lab.cli import main
-        real = np.linalg.eigh
 
-        def small_only(A, *args, **kwargs):
-            if np.shape(A)[0] > 10:
-                raise AssertionError(f"eigh of size {np.shape(A)[0]}")
-            return real(A, *args, **kwargs)
+        def small_only(name):
+            # a fused star is bipartite: a dense solve may be eigh or svd
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", small_only)
+            def solve(A, *args, **kwargs):
+                if max(np.shape(A)) > 10:
+                    raise AssertionError(f"{name} of size {np.shape(A)}")
+                return real(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, solve)
+
+        small_only("eigh")
+        small_only("svd")
         D = stellar_decompose(400, 800, 1200)
         assert analyze(400, 800, 1200).verdict == "no-FR"
         assert certify_fr(D, 0, 1).verdict == "none"
@@ -343,5 +348,100 @@ class TestStellarQuotient:
         assert main(["analyze", "--stellar", "400,800,1200", "--pair", "0", "1"],
                     out) == 1
         assert json.loads(out.getvalue())["certificate"]["pair"] == [0, 1]
-        with pytest.raises(AssertionError, match="eigh of size"):
+        with pytest.raises(AssertionError, match="(eigh|svd) of size"):
             D.adjacency()
+
+
+class TestBipartiteSolver:
+    """A bipartite graph's decomposition from the SVD of its half-size
+    block agrees with eigh of A. The solver is forced at every size, so the
+    small graphs below the crossover check it too."""
+
+    @staticmethod
+    def cases(parity_cases):
+        import networkx as nx
+
+        def graph(g):
+            g = nx.convert_node_labels_to_integers(g)
+            return Graph.from_edges(g.number_of_nodes(), list(g.edges()))
+
+        out = []
+        for name, D, _, _ in parity_cases:
+            g = nx.from_numpy_array(np.round(D.adjacency()))
+            if nx.is_bipartite(g):
+                out.append((name, graph(g)))
+        for i, g in enumerate(nx.graph_atlas_g()[1:], start=1):
+            if nx.is_connected(g) and nx.is_bipartite(g):
+                out.append((f"atlas {i}", graph(g)))
+        twice = nx.disjoint_union(nx.path_graph(30), nx.path_graph(30))
+        out += [("K30,40", graph(nx.complete_bipartite_graph(30, 40))),
+                ("K1,60", build_star(60)),
+                ("Q6", graph(nx.hypercube_graph(6))),
+                ("2 P30", graph(twice)),
+                ("edgeless 50", Graph.from_edges(50, []))]
+        return out
+
+    @staticmethod
+    def solve(X, monkeypatch):
+        """(the SVD decomposition of X, the eigh decomposition of A)."""
+        from revival_lab import spectral
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh on the SVD path")
+
+        ref = decompose(X.adjacency())  # matrix input: always eigh
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_SVD_MIN_VERTICES", 1)
+            m.setattr(np.linalg, "eigh", no_eigh)
+            D = decompose(X)
+        return D, ref
+
+    def test_agrees_with_eigh(self, parity_cases, monkeypatch):
+        cases = self.cases(parity_cases)
+        assert len(cases) > 150
+        for name, X in cases:
+            D, ref = self.solve(X, monkeypatch)
+            assert D.bounds == ref.bounds, name
+            assert D.connected == ref.connected, name
+            radius = max(1.0, -ref.eigenvalues[-1], ref.eigenvalues[0])
+            gap = np.subtract(D.eigenvalues, ref.eigenvalues)
+            assert np.abs(gap).max() <= 1e-12 * radius, name
+            mirror = tuple(-x for x in reversed(D.eigenvalues))
+            assert D.eigenvalues == mirror, name
+            V = D.vectors
+            assert np.abs(V.T @ V - np.eye(D.n)).max() < 1e-12, name
+            for P, Q in zip(D.projectors, ref.projectors):
+                assert np.abs(P - Q).max() < 1e-12, name
+            if not D.connected:
+                continue
+            for a, b in itertools.combinations(range(D.n), 2):
+                got, want = certify_fr(D, a, b), certify_fr(ref, a, b)
+                assert (got.verdict, got.delta, got.g) == \
+                    (want.verdict, want.delta, want.g), (name, a, b)
+                if want.tau_min is not None:
+                    assert abs(got.tau_min - want.tau_min) <= \
+                        1e-12 * want.tau_min, (name, a, b)
+
+    def test_solver_choice(self, monkeypatch):
+        from revival_lab import spectral
+        calls = []
+
+        def recording(name):
+            real = getattr(np.linalg, name)
+
+            def solve(A, *args, **kwargs):
+                calls.append(name)
+                return real(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, solve)
+
+        recording("eigh")
+        recording("svd")
+        n = spectral._SVD_MIN_VERTICES
+        odd = n | 1
+        decompose(build_path(n - 1))
+        decompose(build_path(n))
+        decompose(build_path(n).adjacency())
+        cycle = [(i, (i + 1) % odd) for i in range(odd)]
+        decompose(Graph.from_edges(odd, cycle))
+        # below the crossover, matrix input and odd cycles keep eigh
+        assert calls == ["eigh", "svd", "eigh", "eigh"]

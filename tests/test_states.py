@@ -23,6 +23,25 @@ class TestStateMatrix:
         with pytest.raises(ValueError):
             StateMatrix(np.diag([1.0, -0.5]))
 
+    def test_diagonal_read_off_its_diagonal(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(M, *args, **kwargs):
+            calls.append(np.shape(M))
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        with pytest.raises(ValueError, match="semidefinite"):
+            StateMatrix(np.diag([1.0, -1e-9, 0.0]))
+        StateMatrix(np.diag([1.0, -1e-11, 0.0]))  # within PSD_TOL
+        subset_state({0, 2}, 5)
+        assert calls == []
+        StateMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="semidefinite"):
+            StateMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert calls == [(2, 2), (2, 2)]
+
     def test_to_density(self):
         rho = subset_state({0, 1}, 4).to_density()
         assert np.trace(rho.entries) == pytest.approx(1.0)
@@ -62,6 +81,17 @@ class TestEigenvalueSupport:
                 ref = {(D.eigenvalues[r], D.eigenvalues[s])
                        for r, s in zip(*np.nonzero(peaks > threshold))}
                 assert eigenvalue_support(D, M) == ref, name
+                # the support graph, built from the float pairs
+                index = {th: r for r, th in enumerate(D.eigenvalues)}
+                loops, edges = set(), set()
+                for th_r, th_s in ref:
+                    r, s = index[th_r], index[th_s]
+                    if r == s:
+                        loops.add(r)
+                    else:
+                        edges.add((min(r, s), max(r, s)))
+                G = support_graph(D, M)
+                assert (G.loops, G.edges) == (loops, edges), name
                 average = sum(P @ M @ P for P in E)
                 assert np.abs(average_state(D, M) - average).max() < 1e-12, name
 

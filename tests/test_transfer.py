@@ -8,7 +8,7 @@ from revival_lab.graphs import build_path, build_stellar, cartesian_product
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, transition_matrix
 from revival_lab.states import is_periodic, subset_state
-from revival_lab.transfer import (average_state_equality,
+from revival_lab.transfer import (ZERO_BLOCKS, average_state_equality,
                                   detect_subset_transfer,
                                   induced_cospectrality,
                                   induced_transfer_check, polygamy_witness)
@@ -138,6 +138,31 @@ class TestProjectorParity:
                                for x, y in zip(moved[i], sides[j]))
                     got = induced_transfer_check(D, states[i], states[j], t)
                     assert got == (ok[:-1], ok[-1]), (name, t)
+
+
+    def test_detect_subset_transfer(self, parity_cases):
+        """The residual and zero blocks read from the rows of U(t) on S | T
+        equal those of the whole U(t) = sum_r exp(i t theta_r) E_r."""
+        t, tol = 1.3, 1e-8
+        for name, D, E, pairs in parity_cases:
+            n = D.n
+            U = sum(np.exp(1j * t * th) * P for th, P in zip(D.eigenvalues, E))
+            half = set(range(n // 2)) or {0}
+            sets = [({a}, {b}) for a, b in pairs[:1]] + \
+                [(half, set(range(n)) - half or {0}), ({0, n - 1}, {n - 1})]
+            for S, T in sets:
+                DS = np.diag([float(v in S) for v in range(n)])
+                DT = np.diag([float(v in T) for v in range(n)])
+                groups = [sorted(S - T), sorted(S & T), sorted(T - S),
+                          sorted(set(range(n)) - S - T)]
+                pattern = tuple(
+                    not groups[i] or not groups[j]
+                    or bool(abs(U[np.ix_(groups[i], groups[j])]).max() < tol)
+                    for i, j in ZERO_BLOCKS)
+                report = detect_subset_transfer(D, S, T, t)
+                residual = np.abs(U @ DS @ U.conj().T - DT).max()
+                assert abs(report.residual - residual) < 1e-12, (name, S, T)
+                assert report.block_zero_pattern == pattern, (name, S, T)
 
 
 class TestInducedTransferCheck:
