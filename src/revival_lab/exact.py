@@ -18,15 +18,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def square_free_part(n: int) -> tuple[int, int]:
+def square_free_part(n: int, steps: float = math.inf) -> tuple[int, int]:
     """Split a positive integer as n = delta * m**2 with delta square-free.
 
-    Returns (delta, m).
+    Returns (delta, m). Raises ArithmeticError when a split of n takes more
+    than ``steps`` steps of Pollard-Brent rho or of trial division past
+    _TRIAL_LIMIT.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     delta, m = 1, 1
-    for p, e in Counter(_prime_factors(n)).items():
+    for p, e in Counter(_prime_factors(n, steps=steps)).items():
         m *= p ** (e // 2)
         if e % 2:
             delta *= p
@@ -51,33 +53,43 @@ def _trial_division(n: int, d: int, limit: float) -> tuple[list[int], int, int]:
     return primes, n, d
 
 
-def _prime_factors(n: int, d: int = 2) -> list[int]:
+def _prime_factors(n: int, d: int = 2, steps: float = math.inf) -> list[int]:
     """The prime factors, with multiplicity, of an n >= 1 that has none
     below d. Past _TRIAL_LIMIT a cofactor is prime when below d**2 or when
     ``is_prime`` proves it, and is split by Pollard-Brent rho otherwise. A
     probable prime past the proven range of ``is_prime`` is left to trial
-    division, so the result is exact either way."""
+    division, so the result is exact either way. Each rho split and that
+    trial division may take ``steps`` steps; past them ArithmeticError is
+    raised."""
     primes, n, d = _trial_division(n, d, _TRIAL_LIMIT)
     if d * d <= n:
         try:
             prime = is_prime(n)
         except ValueError:
-            more, n, _ = _trial_division(n, d, math.inf)
+            more, n, d = _trial_division(n, d, d + 2 * steps)
+            if d * d <= n:
+                raise ArithmeticError(f"{n} not split in {steps} steps")
             return primes + more + ([n] if n > 1 else [])
         if not prime:
-            q = _pollard_brent(n)
-            return primes + _prime_factors(q, d) + _prime_factors(n // q, d)
+            q = _pollard_brent(n, steps)
+            return (primes + _prime_factors(q, d, steps)
+                    + _prime_factors(n // q, d, steps))
     return primes + ([n] if n > 1 else [])
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, steps: float = math.inf) -> int:
     """A nontrivial factor of an odd composite n: Pollard's rho on
     x -> x**2 + c with Brent's cycle search and batched gcds (Brent, "An
     improved Monte Carlo factorization algorithm", BIT 20, 1980). A c whose
-    cycle closes modulo n itself is replaced by the next one."""
+    cycle closes modulo n itself is replaced by the next one. Raises
+    ArithmeticError rather than take more than about ``steps`` steps."""
+    done = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if done + 2 * r > steps:
+                raise ArithmeticError(f"{n} not split in {steps} steps")
+            done += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -190,7 +202,7 @@ class QuadraticValue:
     closed for operands sharing the same radicand; mixing distinct radicands
     raises. A radicand is factored once, where it enters: in the constructor
     and in ``sqrt``. Arithmetic results reuse their operands' radicand, which
-    is already square-free.
+    is already square-free, unless ``sqrt`` ran out of steps.
     """
 
     p: Fraction
@@ -223,14 +235,20 @@ class QuadraticValue:
         return cls._reduced(Fraction(value), Fraction(0), 1)
 
     @classmethod
-    def sqrt(cls, n: int) -> "QuadraticValue":
-        """Exact square root of a nonnegative integer."""
+    def sqrt(cls, n: int, steps: float = math.inf) -> "QuadraticValue":
+        """Exact square root of a nonnegative integer. When n does not split
+        within ``steps`` (see ``square_free_part``) the radicand stays n:
+        the value is exact but unreduced, and compares unequal to itself
+        over the reduced radicand."""
         if n < 0:
             raise ValueError("negative radicand")
         root = math.isqrt(n)
         if root * root == n:
             return cls.of(root)
-        delta, m = square_free_part(n)
+        try:
+            delta, m = square_free_part(n, steps=steps)
+        except ArithmeticError:
+            delta, m = n, 1
         return cls._reduced(Fraction(0), Fraction(m), delta)
 
     @property

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,10 +48,13 @@ class Graph:
                    tuple(labels) if labels is not None else None)
 
     def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        ends = np.fromiter(chain.from_iterable(self.edges), np.intp,
-                           2 * len(self.edges)).reshape(-1, 2)
-        A[ends[:, 0], ends[:, 1]] = A[ends[:, 1], ends[:, 0]] = 1.0
+        """The 0/1 adjacency matrix, written through a flat memoryview of
+        its buffer: cheaper per edge than numpy item assignment."""
+        n = self.n
+        A = np.zeros((n, n))
+        cells = memoryview(A).cast("B").cast("d")
+        for u, v in self.edges:
+            cells[u * n + v] = cells[v * n + u] = 1.0
         return A
 
     def neighbors(self, v: int) -> set[int]:

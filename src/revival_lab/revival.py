@@ -108,11 +108,12 @@ def _gamma_ratio(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     r with ab above its negligible level, and that ratio (0 when no r has
     off-diagonal weight: degenerate, treated as cospectral)."""
     diff = aa - bb
-    mag = abs(ab)
-    weighty = mag > SUPPORT_TOL * np.maximum(mag.max(axis=-1, keepdims=True), 1.0)
+    # the negligible level is SUPPORT_TOL * max(1, max_r |ab|), and |ab| <=
+    # 1/2 for a != b: a 2x2 block of a projector lies between 0 and I
+    weighty = abs(ab) > SUPPORT_TOL
     ratios = np.divide(diff, ab, out=np.zeros_like(diff), where=weighty)
-    first = weighty & (weighty.cumsum(axis=-1) == 1)
-    ratio = (ratios * first).sum(axis=-1)  # exact: one term is nonzero
+    # exact: the first weighty r is the one term that can be nonzero
+    ratio = (ratios * (weighty.cumsum(axis=-1) == 1)).sum(axis=-1)
     residual = np.where(weighty, ratios - ratio[..., None], diff)
     return (abs(residual) <= tol).all(axis=-1), ratio
 
@@ -127,17 +128,19 @@ def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
 
 def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
     """(aa, bb, ab, reach_a, reach_b) of one pair, each of shape (m,); the
-    reach of a is max_v |(E_r)_av|.
+    reach of a is max_v |(E_r)_av|. It is taken over the rows of the
+    factors: a quotient's cells repeat on their vertices and do not change
+    it, so a pair the quotient answers is never lifted to all n vertices.
 
-    When every eigenvalue is simple and the factors are dense, (E_r)_av is
-    V[a, r] V[v, r], and the reach |V[a, r]| max_v |V[v, r]| equals that of
-    ``projector_rows`` bit for bit: rounding preserves order."""
-    if D.m == D.n and D.factors is not None:
-        V = D.factors
-        ra, rb = V[a], V[b]
+    When the factors have one column per eigenvalue (every eigenvalue is
+    simple, or the quotient answers), (E_r)_av is V[a, r] V[v, r], and the
+    reach |V[a, r]| max_v |V[v, r]| equals that of ``projector_rows`` bit
+    for bit: rounding preserves order."""
+    (ra, rb), V = D._row_factors([a, b])[:2]
+    if V.shape[1] == D.m:
         peak = abs(V).max(axis=0)
         return ra * ra, rb * rb, ra * rb, abs(ra) * peak, abs(rb) * peak
-    rows = D.projector_rows([a, b])
+    rows = D.projector_rows([a, b])  # dense: nothing to lift
     reach = abs(rows).max(axis=1)
     return rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1]
 
@@ -171,6 +174,8 @@ def fractional_cospectrality(D: SpectralDecomposition, a: int, b: int,
 
 # Bit flags of a pair's gate outcomes.
 _PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4, 8
+_FLAG_BITS = np.array([_PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED],
+                      dtype=np.uint8)
 # The gate table of all pairs is built from an (n, n, m) float array; past
 # 2**16 entries (512 KiB) a decomposition keeps answering pairs one by one.
 _TABLE_MAX_ENTRIES = 2 ** 16
@@ -194,45 +199,49 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     if with_ratio:
         consistent, ratio = _gamma_ratio(aa, bb, ab, GAMMA_RESIDUAL_TOL)
     else:
-        consistent, ratio = False, np.zeros(np.shape(aa)[:-1])
+        consistent, ratio = np.False_, np.zeros(np.shape(aa)[:-1])
     # |ab| <= reach_a, so a signed eigenvalue is always in the support
-    signs = (ab > support_tol).astype(np.int8) - (ab < -support_tol)
+    signs = np.subtract(ab > support_tol, ab < -support_tol, dtype=np.int8)
     supported = np.maximum(reach_a, reach_b) > support_tol
-    unclassified = (supported & (signs == 0)).any(axis=-1)
-    flags = (_parallel(aa, bb, ab, PARALLEL_TOL) * _PARALLEL
-             | _cospectral(aa, bb, COSPECTRAL_TOL) * _COSPECTRAL
-             | consistent * _COMMUTATIVE | unclassified * _UNCLASSIFIED)
-    return _Gates(flags.astype(np.uint8), ratio, signs)
+    bits = (_parallel(aa, bb, ab, PARALLEL_TOL),
+            _cospectral(aa, bb, COSPECTRAL_TOL), consistent,
+            (supported & (signs == 0)).any(axis=-1))
+    flags = np.concatenate([x[..., None] for x in bits], axis=-1) @ _FLAG_BITS
+    return _Gates(flags, ratio, signs)
 
 
 def _gate_table(D: SpectralDecomposition) -> _Gates:
-    """The gates of every pair (a, b) at once, indexed [a, b]."""
-    entries = D.projector_rows(slice(None))
-    diag = entries[np.arange(D.n), np.arange(D.n)]
-    reach = abs(entries).max(axis=1)
-    return _gates(diag[:, None], diag[None], entries, reach[:, None],
-                  reach[None], SUPPORT_TOL)
+    """The gates of every pair (a, b) at once, indexed [a, b]. When every
+    eigenvalue is simple the entries are V[a, r] V[b, r], straight from
+    the factors, with the reach of ``_pair_entries``."""
+    if D.m == D.n:
+        V = D.vectors
+        entries, diag, reach = V[:, None] * V, V * V, abs(V)
+        reach = reach * reach.max(axis=0)
+    else:
+        entries = D.projector_rows(slice(None))
+        diag = entries.reshape(D.n * D.n, D.m)[::D.n + 1]
+        reach = abs(entries).max(axis=1)
+    return _gates(diag[:, None], diag, entries, reach[:, None], reach,
+                  SUPPORT_TOL)
 
 
 def _pair_gates(D: SpectralDecomposition, a: int, b: int,
                 support_tol: float, with_ratio: bool) -> tuple[_Gates, tuple]:
     """The gates of (a, b) and the index that selects the pair in them.
 
-    A decomposition's second certification at the default support_tol
+    A decomposition's first certification at the default support_tol
     builds the table of all pairs, if it fits, and keeps it in ``D.memo``.
     A pair that the decomposition's quotient answers does not build it:
     the table needs the dense eigenvectors.
     """
-    if support_tol != SUPPORT_TOL:
-        return _gates(*_pair_entries(D, a, b), support_tol, with_ratio), ()
     table = D.memo.get("gates")
-    if table is None:
-        calls = D.memo["certify_calls"] = D.memo.get("certify_calls", 0) + 1
-        if calls < 2 or D.n * D.n * D.m > _TABLE_MAX_ENTRIES \
-                or D.on_quotient([a, b]):
-            return (_gates(*_pair_entries(D, a, b), support_tol, with_ratio),
-                    ())
+    if table is None and support_tol == SUPPORT_TOL \
+            and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
+            and not D.on_quotient([a, b]):
         table = D.memo["gates"] = _gate_table(D)
+    if table is None or support_tol != SUPPORT_TOL:
+        return _gates(*_pair_entries(D, a, b), support_tol, with_ratio), ()
     return table, (a, b)
 
 

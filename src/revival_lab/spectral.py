@@ -28,11 +28,12 @@ _SVD_MIN_VERTICES = 48
 
 @dataclass(frozen=True)
 class StellarExact:
-    """Closed-form spectral data for X(a, k, c).
+    """Closed-form spectral data for X(a, k, c), from its ``analysis``.
 
     ``eigenvalue_squares`` and ``pair_blocks`` are indexed like the parent
     decomposition's eigenvalue list; blocks are the 2x2 restrictions of each
-    projector to the two centers {0, 1}.
+    projector to the two centers {0, 1}. Both are built on first access:
+    they need sqrt(sigma) in exact form, and the decomposition does not.
     """
 
     a: int
@@ -40,8 +41,39 @@ class StellarExact:
     c: int
     mu: int
     sigma: int
-    eigenvalue_squares: tuple[QuadraticValue, ...]
-    pair_blocks: tuple[tuple[tuple[QuadraticValue, ...], ...], ...]
+    analysis: StellarAnalysis = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalue_squares(self) -> tuple[QuadraticValue, ...]:
+        an = self.analysis
+        # descending eigenvalues: theta5, theta3, 0, -theta3, -theta5
+        return (an.theta5_sq, an.theta3_sq, QuadraticValue.of(0),
+                an.theta3_sq, an.theta5_sq)
+
+    @cached_property
+    def pair_blocks(self) -> tuple[tuple[tuple[QuadraticValue, ...], ...], ...]:
+        """With theta^2 = (mu +- sqrt(sigma))/2 the blocks on the centers
+        are [[1/4 + x, e], [e, 1/4 - x]] for +-theta5 and
+        [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, where
+        x = (a - c) sqrt(sigma) / (4 sigma) and e = k sqrt(sigma) / (2 sigma);
+        sqrt(sigma) is theta5^2 - theta3^2, in the radicand analyze found, so
+        each entry is built once, over that radicand."""
+        root = self.eigenvalue_squares[0] - self.eigenvalue_squares[1]
+        # s + m sqrt(delta) with integers s, m, one of them 0
+        s, m, delta = int(root.p), int(root.q), root.delta
+        d, den = self.a - self.c, 4 * self.sigma
+
+        def entry(p: int, q: int) -> QuadraticValue:
+            return QuadraticValue._reduced(Fraction(p, den), Fraction(q, den),
+                                           delta)
+
+        e00 = entry(self.sigma + d * s, d * m)
+        e11 = entry(self.sigma - d * s, -d * m)
+        e01 = entry(2 * self.k * s, 2 * self.k * m)
+        zero = QuadraticValue.of(0)
+        plus = ((e00, e01), (e01, e11))
+        minus = ((e11, -e01), (-e01, e00))
+        return (plus, minus, ((zero, zero), (zero, zero)), minus, plus)
 
     def block_as_fractions(self, r: int) -> list[list[Fraction]]:
         return [[entry.as_fraction() for entry in row]
@@ -198,11 +230,12 @@ class TransitionMatrix:
 def _group_eigenvalues(desc: np.ndarray,
                        threshold: float) -> tuple[list[int], list[str]]:
     """Cluster bounds over descending eigenvalues split at gaps >= threshold."""
-    gaps = desc[:-1] - desc[1:]
-    bounds = [0, *(np.nonzero(gaps >= threshold)[0] + 1).tolist(), len(desc)]
-    near = gaps[(gaps >= threshold / 10) & (gaps <= threshold * 10)]
+    gaps = (desc[:-1] - desc[1:]).tolist()
+    bounds = [0, *(i for i, gap in enumerate(gaps, 1) if gap >= threshold),
+              len(desc)]
     warnings = [f"eigenvalue gap {gap:.3e} within a factor 10 of the "
-                f"grouping threshold {threshold:.3e}" for gap in near]
+                f"grouping threshold {threshold:.3e}" for gap in gaps
+                if threshold / 10 <= gap <= threshold * 10]
     return bounds, warnings
 
 
@@ -285,17 +318,19 @@ def decompose(X: Graph | np.ndarray,
     """
     if grouping_tolerance <= 0:
         raise ValueError("grouping tolerance must be positive")
-    A = X.adjacency() if isinstance(X, Graph) else np.asarray(X, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
-    # np.allclose(A, A.T) as one fused test; equal for finite entries
-    if not np.array_equal(A, A.T) and \
-            not (np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)).all():
-        raise ValueError("matrix must be symmetric")
-    connected, side = _sides(X) if isinstance(X, Graph) \
-        else (_is_connected(A), None)
+    if isinstance(X, Graph):  # 0/1 and symmetric by construction
+        A, (connected, side) = X.adjacency(), _sides(X)
+    else:
+        A = np.asarray(X, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+            raise ValueError("expected a nonempty square matrix")
+        if not np.isfinite(A).all():
+            raise ValueError("matrix entries must be finite")
+        # np.allclose(A, A.T) as one fused test; equal for finite entries
+        if not np.array_equal(A, A.T) and \
+                not (np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)).all():
+            raise ValueError("matrix must be symmetric")
+        connected, side = _is_connected(A), None
     by_svd = side is not None and A.shape[0] >= _SVD_MIN_VERTICES
     if by_svd:
         vals, vecs = _bipartite_eigh(A, side)
@@ -303,10 +338,12 @@ def decompose(X: Graph | np.ndarray,
         vals, vecs = np.linalg.eigh(A)
         # eigh sorts ascending; reversed, the clusters descend
         vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
-    radius = float(np.abs(vals).max(initial=0.0))
+    radius = float(max(vals[0], -vals[-1]))  # vals descend
     threshold = grouping_tolerance * max(1.0, radius)
     bounds, warnings = _group_eigenvalues(vals, threshold)
-    eigenvalues = np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
+    # the mean of each cluster; a spectrum of simple eigenvalues is its own
+    eigenvalues = vals if len(bounds) > len(vals) else \
+        np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
     if by_svd:
         # the clusters mirror each other; their means are made to as well
         eigenvalues = (eigenvalues - eigenvalues[::-1]) / 2
@@ -334,36 +371,6 @@ def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
     return TransitionMatrix(float(t), transition_rows(D, slice(None), t))
 
 
-def _stellar_exact_data(an: StellarAnalysis) -> StellarExact:
-    """The exact record of X(a, k, c) from its analysis ``an``. With
-    theta^2 = (mu +- sqrt(sigma))/2 the blocks on the centers are
-    [[1/4 + x, e], [e, 1/4 - x]] for +-theta5 and
-    [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, where
-    x = (a - c) sqrt(sigma) / (4 sigma) and e = k sqrt(sigma) / (2 sigma);
-    sqrt(sigma) is theta5^2 - theta3^2, in the radicand analyze found, so
-    each entry is built once, over that square-free radicand."""
-    a, k, c = an.a, an.k, an.c
-    y3, y5 = an.theta3_sq, an.theta5_sq
-    root = y5 - y3  # s + m sqrt(delta) with integers s, m, one of them 0
-    s, m, delta = int(root.p), int(root.q), root.delta
-    d, den = a - c, 4 * an.sigma
-
-    def entry(p: int, q: int) -> QuadraticValue:
-        return QuadraticValue._reduced(Fraction(p, den), Fraction(q, den),
-                                       delta)
-
-    e00, e11 = entry(an.sigma + d * s, d * m), entry(an.sigma - d * s, -d * m)
-    e01 = entry(2 * k * s, 2 * k * m)
-    zero = QuadraticValue.of(0)
-    plus = ((e00, e01), (e01, e11))
-    minus = ((e11, -e01), (-e01, e00))
-    zero_block = ((zero, zero), (zero, zero))
-    # order matches descending eigenvalues: theta5, theta3, 0, -theta3, -theta5
-    squares = (y5, y3, zero, y3, y5)
-    blocks = (plus, minus, zero_block, minus, plus)
-    return StellarExact(a, k, c, an.mu, an.sigma, squares, blocks)
-
-
 def _stellar_quotient(a: int, k: int, c: int) -> np.ndarray:
     """B = Q^T A Q over ``stellar_partition(a, k, c)``: the path through the
     cells a, {0}, k, {1}, c with weights sqrt(a), sqrt(k), sqrt(k), sqrt(c)."""
@@ -384,10 +391,14 @@ def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
 
 
 def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
-    """``stellar_decompose`` of the triple that ``an`` analyzed."""
-    exact = _stellar_exact_data(an)
+    """``stellar_decompose`` of the triple that ``an`` analyzed. The float
+    eigenvalues need no surd: theta5^2 = (mu + sqrt(sigma))/2 and, as
+    theta3^2 theta5^2 = e2 = ak + ck + ac, theta3^2 = 2 e2/(mu + sqrt(sigma)),
+    which does not cancel when theta3 << theta5."""
     a, k, c = an.a, an.k, an.c
-    theta5, theta3 = (math.sqrt(float(y)) for y in exact.eigenvalue_squares[:2])
+    big = an.mu + math.sqrt(an.sigma)
+    e2 = a * k + c * k + a * c
+    theta5, theta3 = math.sqrt(big / 2), math.sqrt(2 * e2 / big)
     eigenvalues = (theta5, theta3, 0.0, -theta3, -theta5)
     threshold = DEFAULT_GROUPING_TOL * max(1.0, theta5)
     groups, warnings = _group_eigenvalues(np.array(eigenvalues), threshold)
@@ -399,6 +410,7 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
     W = np.linalg.eigh(_stellar_quotient(a, k, c))[1]
     W = W[[1, 3, 0, 2, 4], ::-1] / np.sqrt(np.array(sizes, dtype=float))[:, None]
     n = a + k + c + 2
+    exact = StellarExact(a, k, c, an.mu, an.sigma, an)
     return SpectralDecomposition(
         eigenvalues, None, (0, 1, 2, n - 2, n - 1, n), True,
         "exact-quadratic", DEFAULT_GROUPING_TOL, tuple(warnings), exact,

@@ -18,6 +18,9 @@ from .exact import (QuadraticValue, fermat_two_squares, square_free_part,
 from .graphs import Graph
 
 POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
+# Steps of Pollard-Brent rho that may go into reducing sqrt(sigma) for
+# output (about 0.1 s); past them sigma is kept as the radicand, unreduced.
+_SURD_STEPS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,10 @@ class StellarAnalysis:
     sqrt(theta5_sq), with theta3_sq, theta5_sq = (mu -+ sqrt(sigma))/2.
     They are derived on first access, for output, and are not part of the
     decision: only when sigma is not a square do they need its square-free
-    part, found once for both. When both squares are integers sharing a
-    square-free part delta, they equal alpha**2 * delta and beta**2 * delta.
+    part, found once for both. When sigma does not split within _SURD_STEPS
+    steps, sqrt(sigma) is kept unreduced: exact all the same. When both
+    squares are integers sharing a square-free part delta, they equal
+    alpha**2 * delta and beta**2 * delta.
 
     min_period is always 2 * tau_min (None when there is no FR). For a
     proper triple it is the first time at which the block of U(t) on the
@@ -61,7 +66,7 @@ class StellarAnalysis:
         if s * s == self.sigma:
             return (QuadraticValue.of(Fraction(self.mu - s, 2)),
                     QuadraticValue.of(Fraction(self.mu + s, 2)))
-        root, half = QuadraticValue.sqrt(self.sigma), Fraction(1, 2)
+        root, half = QuadraticValue.sqrt(self.sigma, _SURD_STEPS), Fraction(1, 2)
         return (self.mu - root) * half, (self.mu + root) * half
 
     @property

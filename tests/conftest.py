@@ -54,9 +54,9 @@ def square_free_calls(monkeypatch):
     calls = []
     real = exact.square_free_part
 
-    def counting(n):
+    def counting(n, **options):
         calls.append(n)
-        return real(n)
+        return real(n, **options)
 
     monkeypatch.setattr(exact, "square_free_part", counting)
     monkeypatch.setattr(stellar, "square_free_part", counting)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from revival_lab.graphs import Graph, build_path, build_stellar
-from revival_lab.revival import (are_cospectral, are_parallel,
+from revival_lab.revival import (SUPPORT_TOL, _gates, _pair_entries,
+                                 are_cospectral, are_parallel,
                                  balanced_fr_analysis, certify_fr,
                                  fractional_cospectrality, verify_fr_at)
 from revival_lab.spectral import decompose, stellar_decompose
@@ -132,21 +133,24 @@ def test_singleton_pair_entries_match_projector_rows(parity_cases):
 
 
 class TestGateTable:
-    """A decomposition's second certification builds the gates of all its
-    pairs at once, when n^2 m <= 2^16; the first call and any call with a
-    non-default support_tol evaluate the same gates on a batch of one."""
+    """A decomposition's first certification builds the gates of all its
+    pairs at once, when n^2 m <= 2^16; past that guard, and for any call
+    with a non-default support_tol, the same gates are evaluated on a batch
+    of one."""
 
     @staticmethod
     def assert_paths_agree(D, label):
-        """Every ordered pair: the table of D against a fresh copy of D,
-        whose first call takes the batch of one, byte for byte."""
+        """Every ordered pair: the table built by D's first certification
+        against the batch-of-one gates of the pair, byte for byte."""
         certify_fr(D, 0, 1)
-        certify_fr(D, 0, 1)
-        assert ("gates" in D.memo) == (D.n ** 2 * D.m <= 2 ** 16), label
+        table = D.memo.get("gates")
+        assert (table is not None) == (D.n ** 2 * D.m <= 2 ** 16), label
+        if table is None:
+            return
         for a, b in itertools.permutations(range(D.n), 2):
-            table = json.dumps(certify_fr(D, a, b).to_json_dict())
-            single = json.dumps(certify_fr(replace(D), a, b).to_json_dict())
-            assert table == single, (label, a, b)
+            single = _gates(*_pair_entries(D, a, b), SUPPORT_TOL)
+            for kept, referee in zip(table, single):
+                assert kept[a, b].tobytes() == referee.tobytes(), (label, a, b)
 
     def test_atlas_paths_agree(self):
         import networkx as nx
@@ -170,11 +174,12 @@ class TestGateTable:
             self.assert_paths_agree(D, n)
         assert crossed == 1  # n^2 m <= 2^16 fails only at n = 41
 
-    def test_built_on_second_call_and_compact(self):
+    def test_built_on_first_call_and_compact(self, monkeypatch):
+        from revival_lab import revival
         D = decompose(build_path(7))
+        # the first call answers from the table, with no batch of one
+        monkeypatch.delattr(revival, "_pair_entries")
         certify_fr(D, 0, 6)
-        assert "gates" not in D.memo
-        certify_fr(D, 1, 5)
         flags, ratio, signs = D.memo["gates"]
         assert (flags.dtype, ratio.dtype, signs.dtype) == (
             np.uint8, np.float64, np.int8)
