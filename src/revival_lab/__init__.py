@@ -15,12 +15,10 @@ from .graphs import (Graph, Partition, WeightedGraph, build_path,
 from .spectral import (SpectralDecomposition, StellarExact, TransitionMatrix,
                        char_poly_suite, decompose, stellar_decompose,
                        transition_matrix, transition_rows)
-from .states import (StateMatrix, SupportGraph, average_state,
-                     eigenvalue_support, is_periodic, subset_state,
-                     support_graph, support_graph_to_dot)
-from .revival import (BalancedResult, FRObservation, RevivalCertificate,
-                      are_cospectral, are_parallel, balanced_fr_analysis,
-                      certify_fr, fractional_cospectrality, verify_fr_at)
+from .states import (StateMatrix, SupportGraph, average_state, is_periodic,
+                     subset_state, support_graph, support_graph_to_dot)
+from .revival import (FRObservation, RevivalCertificate, certify_fr,
+                      verify_fr_at)
 from .stellar import (FamilyRecipe, StellarAnalysis, analyze,
                       diophantine_check, double_star_tree, generate_family,
                       generate_polygamy_triple)

@@ -79,20 +79,17 @@ def load_graph(path: str) -> graphs.Graph:
 
 def _graph_arg(args) -> graphs.Graph:
     if getattr(args, "stellar", None):
-        a, k, c = parse_triple(args.stellar)
-        return graphs.build_stellar(a, k, c)
+        return graphs.build_stellar(*parse_triple(args.stellar))
     if getattr(args, "graph", None):
         return load_graph(args.graph)
     raise ValueError("provide --graph FILE or --stellar a,k,c")
 
 
-def _decomposition(args):
+def _decomposition(args) -> spectral.SpectralDecomposition:
+    # a fused star is decomposed from its triple, with no graph of n vertices
     if getattr(args, "stellar", None):
-        a, k, c = parse_triple(args.stellar)
-        return spectral.stellar_decompose(a, k, c)
-    if not getattr(args, "graph", None):
-        raise ValueError("provide --graph FILE or --stellar a,k,c")
-    return spectral.decompose(load_graph(args.graph))
+        return spectral.stellar_decompose(*parse_triple(args.stellar))
+    return spectral.decompose(_graph_arg(args))
 
 
 def _emit(doc, fmt: str, out) -> None:
@@ -123,26 +120,21 @@ def _flatten(doc, prefix: str = "") -> dict:
     return out
 
 
+def _oracle(D, a: int, b: int, t: float) -> dict:
+    obs = revival.verify_fr_at(D, a, b, t)
+    return {"t": obs.t, "off_block_norm": obs.off_block_norm,
+            "cross_amplitude": obs.cross_amplitude}
+
+
 def cmd_analyze(args, out) -> int:
     D = _decomposition(args)
     a, b = args.pair
     cert = revival.certify_fr(D, a, b)
     doc = {"certificate": cert.to_json_dict()}
     if cert.tau_min is not None:
-        obs = revival.verify_fr_at(D, a, b, cert.tau_min)
-        doc["oracle"] = {
-            "t": obs.t,
-            "off_block_norm": obs.off_block_norm,
-            "cross_amplitude": obs.cross_amplitude,
-        }
+        doc["oracle"] = _oracle(D, a, b, cert.tau_min)
     if args.time is not None:
-        t = parse_time(args.time)
-        obs = revival.verify_fr_at(D, a, b, t)
-        doc["oracle_at_time"] = {
-            "t": obs.t,
-            "off_block_norm": obs.off_block_norm,
-            "cross_amplitude": obs.cross_amplitude,
-        }
+        doc["oracle_at_time"] = _oracle(D, a, b, parse_time(args.time))
     _emit(doc, args.format, out)
     return 0 if cert.is_proper else 1
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import rationalize, square_free_part, two_adic_valuation
-from .spectral import SpectralDecomposition, transition_rows
+from .spectral import SpectralDecomposition, _transition_cells
 
 SUPPORT_TOL = 1e-8
 PARALLEL_TOL = 1e-9
@@ -145,33 +145,6 @@ def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
     return rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1]
 
 
-def are_cospectral(D: SpectralDecomposition, a: int, b: int,
-                   tol: float = COSPECTRAL_TOL) -> bool:
-    """(E_r)_{a,a} = (E_r)_{b,b} for every projector."""
-    return bool(_cospectral(*_pair_entries(D, a, b)[:2], tol))
-
-
-def are_parallel(D: SpectralDecomposition, a: int, b: int,
-                 tol: float = PARALLEL_TOL) -> bool:
-    """Every projector restricted to {a, b} has rank at most 1."""
-    return a == b or bool(_parallel(*_pair_entries(D, a, b)[:3], tol))
-
-
-def fractional_cospectrality(D: SpectralDecomposition, a: int, b: int,
-                             tol: float = GAMMA_RESIDUAL_TOL) -> Fraction | None:
-    """The rational scalar gamma with (E_r)_aa - (E_r)_bb = gamma (E_r)_ab.
-
-    Returns None when no single rational satisfies the identity for all r.
-    Exact-quadratic decompositions of the fused-star family give gamma
-    exactly for the pair (0, 1).
-    """
-    exact = _exact_gamma(D, a, b)
-    if exact is not None:
-        return exact
-    consistent, ratio = _gamma_ratio(*_pair_entries(D, a, b)[:3], tol)
-    return rationalize(float(ratio), tol=tol) if consistent else None
-
-
 # Bit flags of a pair's gate outcomes.
 _PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4, 8
 _FLAG_BITS = np.array([_PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED],
@@ -192,7 +165,7 @@ class _Gates(NamedTuple):
 
 def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
            reach_a: np.ndarray, reach_b: np.ndarray,
-           support_tol: float, with_ratio: bool = True) -> _Gates:
+           with_ratio: bool = True) -> _Gates:
     """Every gate of certify_fr before conditions (c) and (d). Without
     ``with_ratio`` (gamma is known exactly) the gamma ratio is not computed:
     it reads 0 and the commutative flag stays clear."""
@@ -201,8 +174,8 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     else:
         consistent, ratio = np.False_, np.zeros(np.shape(aa)[:-1])
     # |ab| <= reach_a, so a signed eigenvalue is always in the support
-    signs = np.subtract(ab > support_tol, ab < -support_tol, dtype=np.int8)
-    supported = np.maximum(reach_a, reach_b) > support_tol
+    signs = np.subtract(ab > SUPPORT_TOL, ab < -SUPPORT_TOL, dtype=np.int8)
+    supported = np.maximum(reach_a, reach_b) > SUPPORT_TOL
     bits = (_parallel(aa, bb, ab, PARALLEL_TOL),
             _cospectral(aa, bb, COSPECTRAL_TOL), consistent,
             (supported & (signs == 0)).any(axis=-1))
@@ -222,26 +195,24 @@ def _gate_table(D: SpectralDecomposition) -> _Gates:
         entries = D.projector_rows(slice(None))
         diag = entries.reshape(D.n * D.n, D.m)[::D.n + 1]
         reach = abs(entries).max(axis=1)
-    return _gates(diag[:, None], diag, entries, reach[:, None], reach,
-                  SUPPORT_TOL)
+    return _gates(diag[:, None], diag, entries, reach[:, None], reach)
 
 
 def _pair_gates(D: SpectralDecomposition, a: int, b: int,
-                support_tol: float, with_ratio: bool) -> tuple[_Gates, tuple]:
+                with_ratio: bool) -> tuple[_Gates, tuple]:
     """The gates of (a, b) and the index that selects the pair in them.
 
-    A decomposition's first certification at the default support_tol
-    builds the table of all pairs, if it fits, and keeps it in ``D.memo``.
-    A pair that the decomposition's quotient answers does not build it:
-    the table needs the dense eigenvectors.
+    A decomposition's first certification builds the table of all pairs,
+    if it fits, and keeps it in ``D.memo``. A pair that the decomposition's
+    quotient answers does not build it: the table needs the dense
+    eigenvectors.
     """
     table = D.memo.get("gates")
-    if table is None and support_tol == SUPPORT_TOL \
-            and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
+    if table is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
             and not D.on_quotient([a, b]):
         table = D.memo["gates"] = _gate_table(D)
-    if table is None or support_tol != SUPPORT_TOL:
-        return _gates(*_pair_entries(D, a, b), support_tol, with_ratio), ()
+    if table is None:
+        return _gates(*_pair_entries(D, a, b), with_ratio), ()
     return table, (a, b)
 
 
@@ -273,8 +244,7 @@ def _class_delta_and_ms(thetas: list[float], tol: float) -> tuple[int | None, li
     return delta, ms
 
 
-def certify_fr(D: SpectralDecomposition, a: int, b: int,
-               support_tol: float = SUPPORT_TOL) -> RevivalCertificate:
+def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
     """Evaluate the exact characterization of proper fractional revival.
 
     Singleton support classes (where the gcd over within-class gaps is
@@ -288,15 +258,17 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
     warnings: list[str] = []
 
     gamma = _exact_gamma(D, a, b)
-    gates, pair = _pair_gates(D, a, b, support_tol, gamma is None)
+    gates, pair = _pair_gates(D, a, b, gamma is None)
     flags = int(gates.flags[pair])
     parallel = bool(flags & _PARALLEL)
+    # an exact gamma is 0 exactly when a = c; the centers' diagonal entries
+    # differ by (a - c)/(2 sqrt(sigma)), below float resolution for large sigma
+    cospectral = gamma == 0 if gamma is not None else bool(flags & _COSPECTRAL)
     if gamma is None and flags & _COMMUTATIVE:
         gamma = rationalize(float(gates.ratio[pair]), tol=GAMMA_RESIDUAL_TOL)
     commutative = gamma is not None
     if not commutative:
         warnings.append("no consistent rational gamma found")
-    cospectral = bool(flags & _COSPECTRAL)
 
     signs = gates.signs[pair].tolist()
     c_plus = tuple(th for th, s in zip(D.eigenvalues, signs) if s > 0)
@@ -372,8 +344,15 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int,
 
 def verify_fr_at(D: SpectralDecomposition, a: int, b: int,
                  t: float) -> FRObservation:
-    """Measure off-block leakage and cross amplitude of U(t) at {a, b}."""
-    return _fr_observation(transition_rows(D, [a, b], t), a, b, t)
+    """Measure off-block leakage and cross amplitude of U(t) at {a, b}.
+
+    A pair that the quotient answers is measured over its cells, with no
+    lift to the vertices: a and b are cells of their own, and every other
+    cell has the maximum of the vertices it repeats on."""
+    rows, sizes = _transition_cells(D, [a, b], t)
+    if sizes is not None:
+        a, b = D.quotient.singletons[a], D.quotient.singletons[b]
+    return _fr_observation(rows, a, b, t)
 
 
 def _fr_observation(rows: np.ndarray, a: int, b: int,
@@ -386,43 +365,6 @@ def _fr_observation(rows: np.ndarray, a: int, b: int,
                          block)
 
 
-@dataclass(frozen=True)
-class BalancedResult:
-    kind: str  # not-balanced | balanced-PST-route | balanced-noncospectral-route
-    witness_time: float | None = None
-
-
-def balanced_fr_analysis(D: SpectralDecomposition, a: int, b: int,
-                         tol: float = 1e-8) -> BalancedResult:
-    """Search fractional-revival times for a balanced split.
-
-    Candidates are the odd multiples of the certified minimum time; when the
-    support classes are singletons the revival is continuous in time and a
-    fine grid over one period is scanned as well.
-    """
-    cert = certify_fr(D, a, b)
-    if not cert.is_proper:
-        raise ValueError("balanced analysis requires proper fractional revival")
-    assert cert.tau_min is not None
-    period = 2 * cert.tau_min
-    candidates = [(2 * j + 1) * cert.tau_min for j in range(3)]
-    if len(cert.c_plus) == 1 and len(cert.c_minus) == 1:
-        candidates += [period * i / 4096 for i in range(1, 4096)]
-    target = 1 / math.sqrt(2)
-    for t in candidates:
-        obs = verify_fr_at(D, a, b, t)
-        if obs.off_block_norm > tol:
-            continue
-        if abs(abs(obs.block[0, 0]) - target) < tol and \
-                abs(obs.cross_amplitude - target) < tol:
-            kind = ("balanced-PST-route" if cert.cospectral
-                    else "balanced-noncospectral-route")
-            return BalancedResult(kind, t)
-    return BalancedResult("not-balanced")
-
-
 __all__ = [
-    "FRObservation", "RevivalCertificate", "BalancedResult",
-    "are_cospectral", "are_parallel", "fractional_cospectrality",
-    "certify_fr", "verify_fr_at", "balanced_fr_analysis",
+    "FRObservation", "RevivalCertificate", "certify_fr", "verify_fr_at",
 ]

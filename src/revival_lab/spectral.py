@@ -20,7 +20,7 @@ from .exact import QuadraticValue
 from .graphs import Graph, build_stellar
 from .stellar import StellarAnalysis, analyze
 
-DEFAULT_GROUPING_TOL = 1e-9
+GROUPING_TOL = 1e-9
 # Vertices from which a bipartite graph is solved by the SVD of its half-size
 # block rather than by eigh of A (measured crossover, see CHANGES.md).
 _SVD_MIN_VERTICES = 48
@@ -30,25 +30,16 @@ _SVD_MIN_VERTICES = 48
 class StellarExact:
     """Closed-form spectral data for X(a, k, c), from its ``analysis``.
 
-    ``eigenvalue_squares`` and ``pair_blocks`` are indexed like the parent
-    decomposition's eigenvalue list; blocks are the 2x2 restrictions of each
-    projector to the two centers {0, 1}. Both are built on first access:
-    they need sqrt(sigma) in exact form, and the decomposition does not.
+    ``pair_blocks`` is indexed like the parent decomposition's eigenvalue
+    list: the 2x2 restrictions of each projector to the two centers {0, 1}.
+    It is built on first access: it needs sqrt(sigma) in exact form, and the
+    decomposition does not.
     """
 
     a: int
     k: int
     c: int
-    mu: int
-    sigma: int
     analysis: StellarAnalysis = field(repr=False, compare=False)
-
-    @cached_property
-    def eigenvalue_squares(self) -> tuple[QuadraticValue, ...]:
-        an = self.analysis
-        # descending eigenvalues: theta5, theta3, 0, -theta3, -theta5
-        return (an.theta5_sq, an.theta3_sq, QuadraticValue.of(0),
-                an.theta3_sq, an.theta5_sq)
 
     @cached_property
     def pair_blocks(self) -> tuple[tuple[tuple[QuadraticValue, ...], ...], ...]:
@@ -58,17 +49,18 @@ class StellarExact:
         x = (a - c) sqrt(sigma) / (4 sigma) and e = k sqrt(sigma) / (2 sigma);
         sqrt(sigma) is theta5^2 - theta3^2, in the radicand analyze found, so
         each entry is built once, over that radicand."""
-        root = self.eigenvalue_squares[0] - self.eigenvalue_squares[1]
+        an = self.analysis
+        root = an.theta5_sq - an.theta3_sq
         # s + m sqrt(delta) with integers s, m, one of them 0
         s, m, delta = int(root.p), int(root.q), root.delta
-        d, den = self.a - self.c, 4 * self.sigma
+        d, den = self.a - self.c, 4 * an.sigma
 
         def entry(p: int, q: int) -> QuadraticValue:
             return QuadraticValue._reduced(Fraction(p, den), Fraction(q, den),
                                            delta)
 
-        e00 = entry(self.sigma + d * s, d * m)
-        e11 = entry(self.sigma - d * s, -d * m)
+        e00 = entry(an.sigma + d * s, d * m)
+        e11 = entry(an.sigma - d * s, -d * m)
         e01 = entry(2 * self.k * s, 2 * self.k * m)
         zero = QuadraticValue.of(0)
         plus = ((e00, e01), (e01, e11))
@@ -111,8 +103,8 @@ class SpectralDecomposition:
     to ``projectors``, at O(m n^2) memory.
 
     ``factors`` holds ``vectors`` when they are known at construction. A
-    quotient-backed decomposition (the fused stars) leaves it None: its
-    ``pair_blocks``, ``pair_block``, ``projector_rows`` and
+    quotient-backed decomposition (the fused stars, whose ``exact`` is set)
+    leaves it None: its ``pair_block``, ``projector_rows`` and
     ``transition_rows`` answer from ``quotient`` when every requested row
     is a singleton cell, and anything else that reads ``vectors`` builds
     them on first access with a dense ``eigh``, then keeps them.
@@ -129,8 +121,6 @@ class SpectralDecomposition:
     factors: np.ndarray | None = field(repr=False)
     bounds: tuple[int, ...]
     connected: bool
-    backing: str = "numeric"
-    tolerance: float = DEFAULT_GROUPING_TOL
     warnings: tuple[str, ...] = ()
     exact: StellarExact | None = None
     quotient: Quotient | None = field(default=None, repr=False)
@@ -189,12 +179,6 @@ class SpectralDecomposition:
     def adjacency(self) -> np.ndarray:
         thetas = np.repeat(self.eigenvalues, self.multiplicities)
         return (self.vectors * thetas) @ self.vectors.T
-
-    def pair_blocks(self, a: int, b: int) -> np.ndarray:
-        """The (m, 2, 2) restrictions of every E_r to {a, b}."""
-        rows, _, bounds, _ = self._row_factors([a, b])
-        products = rows[:, None, :] * rows[None, :, :]
-        return np.add.reduceat(products, bounds[:-1], axis=2).transpose(2, 0, 1)
 
     def projector_rows(self, rows: list[int] | slice) -> np.ndarray:
         """The (len(rows), n, m) entries [i, v, r] = (E_r)_{rows[i], v}."""
@@ -309,15 +293,12 @@ def _bipartite_eigh(A: np.ndarray,
     return np.concatenate([s, np.zeros(n - 2 * k), -s[::-1]]), V
 
 
-def decompose(X: Graph | np.ndarray,
-              grouping_tolerance: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
+def decompose(X: Graph | np.ndarray) -> SpectralDecomposition:
     """Numeric spectral decomposition with gap-based eigenvalue grouping.
 
     A bipartite ``Graph`` on at least ``_SVD_MIN_VERTICES`` vertices is
     solved by the SVD of its half-size block, any other input by ``eigh``.
     """
-    if grouping_tolerance <= 0:
-        raise ValueError("grouping tolerance must be positive")
     if isinstance(X, Graph):  # 0/1 and symmetric by construction
         A, (connected, side) = X.adjacency(), _sides(X)
     else:
@@ -339,7 +320,7 @@ def decompose(X: Graph | np.ndarray,
         # eigh sorts ascending; reversed, the clusters descend
         vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
     radius = float(max(vals[0], -vals[-1]))  # vals descend
-    threshold = grouping_tolerance * max(1.0, radius)
+    threshold = GROUPING_TOL * max(1.0, radius)
     bounds, warnings = _group_eigenvalues(vals, threshold)
     # the mean of each cluster; a spectrum of simple eigenvalues is its own
     eigenvalues = vals if len(bounds) > len(vals) else \
@@ -348,8 +329,7 @@ def decompose(X: Graph | np.ndarray,
         # the clusters mirror each other; their means are made to as well
         eigenvalues = (eigenvalues - eigenvalues[::-1]) / 2
     return SpectralDecomposition(tuple(eigenvalues.tolist()), vecs,
-                                 tuple(bounds), connected, "numeric",
-                                 grouping_tolerance, tuple(warnings))
+                                 tuple(bounds), connected, tuple(warnings))
 
 
 def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
@@ -357,13 +337,20 @@ def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
     """Rows of U(t) = exp(itA), as (V[rows] diag(exp(i t theta))) V^T: the
     real and imaginary parts come from one real product of the stacked
     rows [R cos(t theta); R sin(t theta)] with V^T."""
+    return _lift(*_transition_cells(D, rows, t), -1)
+
+
+def _transition_cells(D: SpectralDecomposition, rows: list[int] | slice,
+                      t: float) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """``transition_rows`` before the lift: its columns are the quotient's
+    cells when it answers ``rows``, with the cell sizes (else None)."""
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     R, V, bounds, sizes = D._row_factors(rows)
     angles = np.repeat(t * np.asarray(D.eigenvalues), np.diff(bounds))
     parts = np.concatenate([R * np.cos(angles), R * np.sin(angles)]) @ V.T
     k = len(R)
-    return _lift(parts[:k] + 1j * parts[k:], sizes, -1)
+    return parts[:k] + 1j * parts[k:], sizes
 
 
 def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
@@ -400,7 +387,7 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
     e2 = a * k + c * k + a * c
     theta5, theta3 = math.sqrt(big / 2), math.sqrt(2 * e2 / big)
     eigenvalues = (theta5, theta3, 0.0, -theta3, -theta5)
-    threshold = DEFAULT_GROUPING_TOL * max(1.0, theta5)
+    threshold = GROUPING_TOL * max(1.0, theta5)
     groups, warnings = _group_eigenvalues(np.array(eigenvalues), threshold)
     if len(groups) != 6:
         raise ArithmeticError("unexpected eigenvalue multiplicities")
@@ -410,11 +397,9 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
     W = np.linalg.eigh(_stellar_quotient(a, k, c))[1]
     W = W[[1, 3, 0, 2, 4], ::-1] / np.sqrt(np.array(sizes, dtype=float))[:, None]
     n = a + k + c + 2
-    exact = StellarExact(a, k, c, an.mu, an.sigma, an)
     return SpectralDecomposition(
-        eigenvalues, None, (0, 1, 2, n - 2, n - 1, n), True,
-        "exact-quadratic", DEFAULT_GROUPING_TOL, tuple(warnings), exact,
-        Quotient(W, sizes, {0: 0, 1: 1}))
+        eigenvalues, None, (0, 1, 2, n - 2, n - 1, n), True, tuple(warnings),
+        StellarExact(a, k, c, an), Quotient(W, sizes, {0: 0, 1: 1}))
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:

@@ -1,4 +1,4 @@
-"""States, eigenvalue supports, support graphs, average states, periodicity."""
+"""States, support graphs, average states, periodicity."""
 
 from __future__ import annotations
 
@@ -10,7 +10,9 @@ import numpy as np
 from .spectral import SpectralDecomposition, transition_matrix
 
 PSD_TOL = 1e-10
-DEFAULT_SUPPORT_TOL = 1e-8
+# E_r rho E_s is in the support above this multiple of max |rho|
+SUPPORT_TOL = 1e-8
+PERIODIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,19 +67,13 @@ def _state_array(rho: StateMatrix | np.ndarray) -> np.ndarray:
     return rho.entries if isinstance(rho, StateMatrix) else np.asarray(rho)
 
 
-def _support_threshold(rho: np.ndarray, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return DEFAULT_SUPPORT_TOL * max(float(np.abs(rho).max()), 1e-300)
-
-
-def _support_mask(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                  tol: float | None) -> np.ndarray:
-    """(m, m) booleans: [r, s] when E_r rho E_s is nonzero (above tol)."""
+def _support_mask(D: SpectralDecomposition,
+                  rho: StateMatrix | np.ndarray) -> np.ndarray:
+    """(m, m) booleans: [r, s] when E_r rho E_s is nonzero."""
     M = _state_array(rho)
     if M.shape[0] != D.n:
         raise ValueError("dimension mismatch")
-    threshold = _support_threshold(M, tol)
+    threshold = SUPPORT_TOL * max(float(np.abs(M).max()), 1e-300)
     V, bounds = D.vectors, D.bounds
     G = V.T @ M @ V
     cols = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -92,14 +88,6 @@ def _support_mask(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
                 E_rho_E = V[:, cols[i]] @ G[cols[i], cols[j]] @ V[:, cols[j]].T
                 big[i, j] = np.abs(E_rho_E).max() > threshold
     return big
-
-
-def eigenvalue_support(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                       tol: float | None = None) -> set[tuple[float, float]]:
-    """Pairs (theta_r, theta_s) with E_r rho E_s nonzero (above tol)."""
-    big = _support_mask(D, rho, tol)
-    return {(D.eigenvalues[r], D.eigenvalues[s])
-            for r, s in zip(*np.nonzero(big))}
 
 
 @dataclass(frozen=True)
@@ -146,9 +134,11 @@ class SupportGraph:
                    for r in comp for s in comp if r < s)
 
 
-def support_graph(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                  tol: float | None = None) -> SupportGraph:
-    big = _support_mask(D, rho, tol)
+def support_graph(D: SpectralDecomposition,
+                  rho: StateMatrix | np.ndarray) -> SupportGraph:
+    """A loop on r when E_r rho E_r is nonzero, an edge {r, s} when
+    E_r rho E_s or E_s rho E_r is."""
+    big = _support_mask(D, rho)
     loops = np.flatnonzero(np.diagonal(big)).tolist()
     r, s = np.nonzero(np.triu(big | big.T, 1))
     return SupportGraph(tuple(D.eigenvalues), frozenset(loops),
@@ -168,11 +158,11 @@ def average_state(D: SpectralDecomposition,
 
 
 def is_periodic(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                t: float, tol: float = 1e-8) -> bool:
+                t: float) -> bool:
     """True iff U(t) commutes with the state."""
     M = _state_array(rho)
     U = transition_matrix(D, t).entries
-    return bool(np.abs(U @ M - M @ U).max() < tol)
+    return bool(np.abs(U @ M - M @ U).max() < PERIODIC_TOL)
 
 
 def support_graph_to_dot(G: SupportGraph,

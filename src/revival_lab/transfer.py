@@ -127,23 +127,21 @@ def induced_cospectrality(X: Graph, S: set[int],
 
 def average_state_equality(D: SpectralDecomposition,
                            rho1: StateMatrix | np.ndarray,
-                           rho2: StateMatrix | np.ndarray,
-                           tol: float = DEFAULT_TRANSFER_TOL) -> bool:
+                           rho2: StateMatrix | np.ndarray) -> bool:
     """True iff E_r rho1 E_r = E_r rho2 E_r for every projector. The
     difference is compared as V_r G_rr V_r^T with G = V^T (rho1 - rho2) V."""
     M1, M2 = _state_array(rho1), _state_array(rho2)
     V, bounds = D.vectors, D.bounds
     G = V.T @ (M1 - M2) @ V
     return all(float(np.abs(V[:, lo:hi] @ G[lo:hi, lo:hi]
-                            @ V[:, lo:hi].T).max()) < tol
+                            @ V[:, lo:hi].T).max()) < DEFAULT_TRANSFER_TOL
                for lo, hi in zip(bounds, bounds[1:]))
 
 
 def induced_transfer_check(D: SpectralDecomposition,
                            rho1: StateMatrix | np.ndarray,
                            rho2: StateMatrix | np.ndarray,
-                           t: float,
-                           tol: float = DEFAULT_TRANSFER_TOL) -> tuple[tuple[bool, ...], bool]:
+                           t: float) -> tuple[tuple[bool, ...], bool]:
     """Per-eigenvalue transfer: U(t) rho1 E_r rho1 U(-t) = rho2 E_r rho2.
 
     With E_r = V_r V_r^T and symmetric states, the two sides are
@@ -155,6 +153,7 @@ def induced_transfer_check(D: SpectralDecomposition,
     U = transition_matrix(D, t).entries
     V, bounds = D.vectors, D.bounds
     W1, W2 = U @ M1 @ V, M2 @ V
+    tol = DEFAULT_TRANSFER_TOL
     per_r = tuple(
         bool(float(np.abs(W1[:, lo:hi] @ W1[:, lo:hi].conj().T
                           - W2[:, lo:hi] @ W2[:, lo:hi].T).max()) < tol)

@@ -81,6 +81,15 @@ class TestAnalyzeCommand:
         doc = json.loads(text)
         assert doc["oracle_at_time"]["off_block_norm"] < 1e-8
 
+    def test_huge_fused_star_at_a_time(self):
+        # n is about 10^15: the oracle reads the centers' rows over the
+        # quotient's cells, and the exact gamma decides cospectrality
+        code, text = run_cli(["analyze", "--stellar", "1,1000000000000000,2",
+                              "--pair", "0", "1", "--time", "1"])
+        doc = json.loads(text)
+        assert code == 1 and doc["certificate"]["cospectral"] is False
+        assert doc["oracle_at_time"]["t"] == 1.0
+
 
 class TestStellarCommand:
     def test_json(self):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,55 +9,66 @@ import numpy as np
 import pytest
 
 from revival_lab.graphs import Graph, build_path, build_stellar
-from revival_lab.revival import (SUPPORT_TOL, _gates, _pair_entries,
-                                 are_cospectral, are_parallel,
-                                 balanced_fr_analysis, certify_fr,
-                                 fractional_cospectrality, verify_fr_at)
-from revival_lab.spectral import decompose, stellar_decompose
+from revival_lab.revival import (_fr_observation, _gates, _pair_entries,
+                                 certify_fr, verify_fr_at)
+from revival_lab.spectral import decompose, stellar_decompose, transition_rows
 from revival_lab.states import subset_state, support_graph
 from revival_lab.stellar import double_star_tree
 
 
 class TestCospectralParallel:
+    """The certificate's parallel and cospectral gates."""
+
     def test_stellar_centers_not_cospectral(self):
-        D = stellar_decompose(3, 2, 6)
-        assert not are_cospectral(D, 0, 1)
-        assert are_parallel(D, 0, 1)
+        cert = certify_fr(stellar_decompose(3, 2, 6), 0, 1)
+        assert not cert.cospectral and cert.parallel
 
     def test_k2_strongly_cospectral(self):
-        D = decompose(build_path(2))
-        assert are_cospectral(D, 0, 1) and are_parallel(D, 0, 1)
+        cert = certify_fr(decompose(build_path(2)), 0, 1)
+        assert cert.cospectral and cert.parallel
 
     def test_p3_ends_parallel(self):
-        D = decompose(build_path(3))
-        assert are_cospectral(D, 0, 2) and are_parallel(D, 0, 2)
+        cert = certify_fr(decompose(build_path(3)), 0, 2)
+        assert cert.cospectral and cert.parallel
 
     def test_star_leaves_not_parallel(self):
         # repeated zero eigenvalue: the leaf pair block has rank 2
         from revival_lab.graphs import build_star
-        D = decompose(build_star(3))
-        assert not are_parallel(D, 1, 2)
+        assert not certify_fr(decompose(build_star(3)), 1, 2).parallel
+
+    def test_exact_centers_cospectral_iff_a_equals_c(self):
+        # at sigma = 4 * 10^30 + 1 the diagonal entries of the centers
+        # differ by (a - c)/(2 sqrt(sigma)), about 2.5e-16: below float
+        # resolution of entries near 1/4, so only the exact gamma sees it
+        assert not certify_fr(stellar_decompose(1, 10**15, 2), 0, 1).cospectral
+        assert certify_fr(stellar_decompose(2, 10**15, 2), 0, 1).cospectral
+        for a, k, c in itertools.product((1, 2, 5, 12), repeat=3):
+            D = stellar_decompose(a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                assert certify_fr(D, *pair).cospectral == (a == c), (a, k, c)
 
 
 class TestFractionalCospectrality:
+    """The certificate's gamma."""
+
     def test_stellar_gamma_exact(self):
         D = stellar_decompose(3, 2, 6)
-        assert fractional_cospectrality(D, 0, 1) == Fraction(-3, 2)
-        assert fractional_cospectrality(D, 1, 0) == Fraction(3, 2)
+        assert certify_fr(D, 0, 1).gamma == Fraction(-3, 2)
+        assert certify_fr(D, 1, 0).gamma == Fraction(3, 2)
 
     def test_numeric_agrees_with_exact(self):
         for (a, k, c) in [(3, 2, 6), (2, 6, 11), (6, 4, 12)]:
             X = build_stellar(a, k, c)
             D = decompose(X)  # numeric path, no exact backing
-            assert fractional_cospectrality(D, 0, 1) == Fraction(a - c, k)
+            assert certify_fr(D, 0, 1).gamma == Fraction(a - c, k)
 
     def test_cospectral_pair_gives_zero(self):
         D = decompose(build_path(2))
-        assert fractional_cospectrality(D, 0, 1) == 0
+        assert certify_fr(D, 0, 1).gamma == 0
 
     def test_inconsistent_pair_gives_none(self):
         D = decompose(build_path(4))
-        assert fractional_cospectrality(D, 0, 1) is None
+        assert certify_fr(D, 0, 1).gamma is None
 
 
 class TestCertifyFR:
@@ -134,9 +146,8 @@ def test_singleton_pair_entries_match_projector_rows(parity_cases):
 
 class TestGateTable:
     """A decomposition's first certification builds the gates of all its
-    pairs at once, when n^2 m <= 2^16; past that guard, and for any call
-    with a non-default support_tol, the same gates are evaluated on a batch
-    of one."""
+    pairs at once, when n^2 m <= 2^16; past that guard, and for a pair that
+    the quotient answers, the same gates are evaluated on a batch of one."""
 
     @staticmethod
     def assert_paths_agree(D, label):
@@ -148,7 +159,7 @@ class TestGateTable:
         if table is None:
             return
         for a, b in itertools.permutations(range(D.n), 2):
-            single = _gates(*_pair_entries(D, a, b), SUPPORT_TOL)
+            single = _gates(*_pair_entries(D, a, b))
             for kept, referee in zip(table, single):
                 assert kept[a, b].tobytes() == referee.tobytes(), (label, a, b)
 
@@ -194,20 +205,6 @@ class TestGateTable:
         certify_fr(D, 0, 59)
         certify_fr(D, 1, 58)
         assert "gates" not in D.memo
-
-    def test_non_default_support_tol(self):
-        D = decompose(build_path(5))
-        certify_fr(D, 0, 4)
-        assert certify_fr(D, 0, 4).verdict == "none"
-        assert "gates" in D.memo
-        # with a coarse support threshold the small eigenvalue weights drop
-        # out; the table, built at the default, must not answer this
-        cert = certify_fr(D, 0, 4, support_tol=0.2)
-        assert cert.verdict == "proper-FR"
-        assert (cert.delta, cert.g) == (1, 2)
-        assert cert.tau_min == pytest.approx(math.pi)
-        assert cert.c_plus == pytest.approx([0.0], abs=1e-12)
-        assert sorted(cert.c_minus) == pytest.approx([-1.0, 1.0])
 
     def test_exact_gamma_skips_the_ratio(self, monkeypatch):
         from revival_lab import revival
@@ -255,6 +252,29 @@ class TestVerifyFRAt:
         B = verify_fr_at(D, 0, 1, math.pi).block
         assert np.abs(B @ B.conj().T - np.eye(2)).max() < 1e-9
 
+    def test_quotient_cells_match_the_lifted_rows(self):
+        """Measured over the quotient's cells, the observation equals the
+        one read from the rows lifted to all n vertices, bit for bit."""
+        for a, k, c in [(3, 2, 6), (20, 30, 40)]:
+            D = stellar_decompose(a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                for t in (0.0, 0.4, 1.0, math.pi / 2, math.pi, 5.1):
+                    got = verify_fr_at(D, *pair, t)
+                    ref = _fr_observation(transition_rows(D, list(pair), t),
+                                          *pair, t)
+                    assert (got.t, got.off_block_norm, got.cross_amplitude) \
+                        == (ref.t, ref.off_block_norm, ref.cross_amplitude)
+                    assert got.block.tobytes() == ref.block.tobytes()
+            assert "vectors" not in vars(D)
+
+    def test_no_lift_on_a_huge_fused_star(self):
+        # n is about 10^15: lifted rows would take petabytes
+        D = stellar_decompose(1, 10**15, 2)
+        start = time.perf_counter()
+        obs = verify_fr_at(D, 0, 1, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert 0 < obs.off_block_norm < 1 and not obs.is_fr()
+
 
 class TestSupportStructure:
     """On a pair with FR, the support graph of D_{a,b} is two
@@ -274,22 +294,6 @@ class TestSupportStructure:
     def test_non_fr_pair(self):
         D = decompose(build_path(4))
         assert not self.two_complete_components(D, 0, 1)
-
-
-class TestBalanced:
-    def test_k2_balanced_at_quarter_pi(self):
-        D = decompose(build_path(2))
-        result = balanced_fr_analysis(D, 0, 1)
-        assert result.kind == "balanced-PST-route"
-        assert result.witness_time == pytest.approx(math.pi / 4)
-
-    def test_stellar_never_balanced(self):
-        D = stellar_decompose(3, 2, 6)
-        assert balanced_fr_analysis(D, 0, 1).kind == "not-balanced"
-
-    def test_requires_proper_fr(self):
-        with pytest.raises(ValueError):
-            balanced_fr_analysis(decompose(build_path(4)), 0, 1)
 
 
 def test_certifier_agrees_with_analyze_small_grid():

@@ -5,8 +5,7 @@ import pytest
 
 from revival_lab.graphs import build_path, build_stellar
 from revival_lab.spectral import decompose, stellar_decompose
-from revival_lab.states import (StateMatrix, average_state,
-                                eigenvalue_support, is_periodic,
+from revival_lab.states import (StateMatrix, average_state, is_periodic,
                                 subset_state, support_graph,
                                 support_graph_to_dot)
 
@@ -55,17 +54,20 @@ class TestStateMatrix:
 
 
 class TestEigenvalueSupport:
+    """The pairs (r, s) with E_r rho E_s nonzero, read as the loops and
+    edges of the support graph."""
+
     def test_vertex_state_full_support_on_path(self):
         D = decompose(build_path(3))
-        pairs = eigenvalue_support(D, subset_state({0}, 3))
+        G = support_graph(D, subset_state({0}, 3))
         # an end vertex of P3 sees every eigenvalue pair
-        assert len(pairs) == 9
+        assert G.loops == {0, 1, 2} and G.edges == {(0, 1), (0, 2), (1, 2)}
 
     def test_stellar_pair_state_support(self):
         D = stellar_decompose(3, 2, 6)
-        pairs = eigenvalue_support(D, subset_state({0, 1}, D.n))
-        thetas = {round(th) for pair in pairs for th in pair}
-        assert thetas == {3, 2, -2, -3}
+        G = support_graph(D, subset_state({0, 1}, D.n))
+        active = G.loops.union(*G.edges)
+        assert {round(D.eigenvalues[r]) for r in active} == {3, 2, -2, -3}
 
     def test_matches_explicit_projectors(self, parity_cases):
         rng = np.random.default_rng(3)
@@ -78,14 +80,8 @@ class TestEigenvalueSupport:
                 threshold = 1e-8 * np.abs(M).max()
                 # entry [r, s] is max |E_r M E_s|
                 peaks = np.abs((stack @ M)[:, None] @ stack[None]).max(axis=(2, 3))
-                ref = {(D.eigenvalues[r], D.eigenvalues[s])
-                       for r, s in zip(*np.nonzero(peaks > threshold))}
-                assert eigenvalue_support(D, M) == ref, name
-                # the support graph, built from the float pairs
-                index = {th: r for r, th in enumerate(D.eigenvalues)}
                 loops, edges = set(), set()
-                for th_r, th_s in ref:
-                    r, s = index[th_r], index[th_s]
+                for r, s in zip(*np.nonzero(peaks > threshold)):
                     if r == s:
                         loops.add(r)
                     else:
@@ -97,8 +93,8 @@ class TestEigenvalueSupport:
 
     def test_identity_sees_only_loops(self):
         D = decompose(build_path(3))
-        pairs = eigenvalue_support(D, np.eye(3))
-        assert all(r == s for r, s in pairs) and len(pairs) == 3
+        G = support_graph(D, np.eye(3))
+        assert G.loops == {0, 1, 2} and not G.edges
 
 
 class TestSupportGraph:
