@@ -9,6 +9,7 @@ transition matrix.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -46,7 +47,7 @@ class FRObservation:
                 and abs(B[1, 0]) < tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RevivalCertificate:
     """Outcome of the exact fractional-revival test on a vertex pair."""
 
@@ -63,6 +64,18 @@ class RevivalCertificate:
     verdict: str  # none | improper-only | proper-FR | proper-PST
     two_adic: tuple[int, int] | None = None
     warnings: tuple[str, ...] = ()
+
+    def __init__(self, pair, parallel, commutative, gamma, cospectral,
+                 c_plus, c_minus, delta, g, tau_min, verdict,
+                 two_adic=None, warnings=()):
+        # the generated __init__ of a frozen dataclass sets each field with
+        # object.__setattr__; one update of the instance dict is about 3x
+        # faster, and a certificate is built for every pair certified
+        self.__dict__.update(
+            pair=pair, parallel=parallel, commutative=commutative,
+            gamma=gamma, cospectral=cospectral, c_plus=c_plus,
+            c_minus=c_minus, delta=delta, g=g, tau_min=tau_min,
+            verdict=verdict, two_adic=two_adic, warnings=warnings)
 
     @property
     def is_proper(self) -> bool:
@@ -149,9 +162,12 @@ def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
 _PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4, 8
 _FLAG_BITS = np.array([_PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED],
                       dtype=np.uint8)
-# The gate table of all pairs is built from an (n, n, m) float array; past
-# 2**16 entries (512 KiB) a decomposition keeps answering pairs one by one.
-_TABLE_MAX_ENTRIES = 2 ** 16
+# The gate table of all pairs is built from an (n, n, m) float array. Up to
+# 2**13 entries it costs at most about five pairs answered one by one
+# (n = m = 20: 0.34 ms against 0.07 ms a pair on 2 x86 cores); past that
+# (n = m = 40: 4.3 ms against 0.08 ms) a decomposition keeps answering
+# pairs one by one.
+_TABLE_MAX_ENTRIES = 2 ** 13
 
 
 class _Gates(NamedTuple):
@@ -198,22 +214,44 @@ def _gate_table(D: SpectralDecomposition) -> _Gates:
     return _gates(diag[:, None], diag, entries, reach[:, None], reach)
 
 
+class _GateRows(NamedTuple):
+    """The gate table in flat stdlib buffers, read with no numpy scalar
+    access: pair (a, b) is entry i = a n + b of ``flags`` and ``ratio``, and
+    its signs are ``signs[i m:(i + 1) m]``. Over the connected graphs on at
+    most 7 vertices they take 1.1 KB a graph, where nested lists of Python
+    numbers took 8.8 KB."""
+
+    n: int
+    m: int
+    flags: bytes
+    ratio: array  # of float64
+    signs: array  # of int8
+
+
+def _gate_rows(D: SpectralDecomposition) -> _GateRows:
+    flags, ratio, signs = _gate_table(D)
+    return _GateRows(D.n, D.m, flags.tobytes(), array("d", ratio.tobytes()),
+                     array("b", signs.tobytes()))
+
+
 def _pair_gates(D: SpectralDecomposition, a: int, b: int,
-                with_ratio: bool) -> tuple[_Gates, tuple]:
-    """The gates of (a, b) and the index that selects the pair in them.
+                with_ratio: bool) -> tuple[int, float, list[int] | array]:
+    """The flags, the gamma ratio and the signs of (a, b).
 
     A decomposition's first certification builds the table of all pairs,
     if it fits, and keeps it in ``D.memo``. A pair that the decomposition's
     quotient answers does not build it: the table needs the dense
     eigenvectors.
     """
-    table = D.memo.get("gates")
-    if table is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
+    rows = D.memo.get("gates")
+    if rows is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
             and not D.on_quotient([a, b]):
-        table = D.memo["gates"] = _gate_table(D)
-    if table is None:
-        return _gates(*_pair_entries(D, a, b), with_ratio), ()
-    return table, (a, b)
+        rows = D.memo["gates"] = _gate_rows(D)
+    if rows is None:
+        flags, ratio, signs = _gates(*_pair_entries(D, a, b), with_ratio)
+        return int(flags), float(ratio), signs.tolist()
+    i, m = a * rows.n + b, rows.m
+    return rows.flags[i], rows.ratio[i], rows.signs[i * m:(i + 1) * m]
 
 
 def _integer_of(x: float, tol: float) -> int | None:
@@ -255,45 +293,53 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
         raise ValueError("vertex pair must be distinct")
     if not D.connected:
         raise ValueError("certification requires a connected graph")
-    warnings: list[str] = []
 
     gamma = _exact_gamma(D, a, b)
-    gates, pair = _pair_gates(D, a, b, gamma is None)
-    flags = int(gates.flags[pair])
+    flags, ratio, signs = _pair_gates(D, a, b, gamma is None)
     parallel = bool(flags & _PARALLEL)
     # an exact gamma is 0 exactly when a = c; the centers' diagonal entries
     # differ by (a - c)/(2 sqrt(sigma)), below float resolution for large sigma
     cospectral = gamma == 0 if gamma is not None else bool(flags & _COSPECTRAL)
     if gamma is None and flags & _COMMUTATIVE:
-        gamma = rationalize(float(gates.ratio[pair]), tol=GAMMA_RESIDUAL_TOL)
+        gamma = rationalize(ratio, tol=GAMMA_RESIDUAL_TOL)
     commutative = gamma is not None
-    if not commutative:
-        warnings.append("no consistent rational gamma found")
+    warnings = () if commutative else ("no consistent rational gamma found",)
 
-    signs = gates.signs[pair].tolist()
-    c_plus = tuple(th for th, s in zip(D.eigenvalues, signs) if s > 0)
-    c_minus = tuple(th for th, s in zip(D.eigenvalues, signs) if s < 0)
-    unclassified = bool(flags & _UNCLASSIFIED)
-
-    def result(verdict: str, delta=None, g=None, tau=None, two_adic=None):
-        return RevivalCertificate((a, b), parallel, commutative, gamma,
-                                  cospectral, c_plus, c_minus, delta, g, tau,
-                                  verdict, two_adic, tuple(warnings))
-
+    # one pass, not a generator per class: this runs for every pair
+    plus: list[float] = []
+    minus: list[float] = []
+    for th, s in zip(D.eigenvalues, signs):
+        if s > 0:
+            plus.append(th)
+        elif s < 0:
+            minus.append(th)
+    c_plus, c_minus = tuple(plus), tuple(minus)
     if not (parallel and commutative) or not c_plus or not c_minus \
-            or unclassified:
-        return result("none")
+            or flags & _UNCLASSIFIED:
+        return RevivalCertificate((a, b), parallel, commutative, gamma,
+                                  cospectral, c_plus, c_minus, None, None,
+                                  None, "none", None, warnings)
+    return RevivalCertificate((a, b), parallel, commutative, gamma,
+                              cospectral, c_plus, c_minus,
+                              *_revival_time(D, a, b, c_plus, c_minus))
 
+
+def _revival_time(D: SpectralDecomposition, a: int, b: int,
+                  c_plus: tuple[float, ...],
+                  c_minus: tuple[float, ...]) -> tuple:
+    """The certificate's (delta, g, tau_min, verdict, two_adic, warnings)
+    of a parallel pair with a rational gamma and two nonempty classes:
+    conditions (c) and (d), and the oracle's PST check at tau_min."""
     # condition (c): common square-free delta for all within-class gaps
     d_plus, ms_plus = _class_delta_and_ms(list(c_plus), INTEGRALITY_TOL)
     d_minus, ms_minus = _class_delta_and_ms(list(c_minus), INTEGRALITY_TOL)
-    singles = len(c_plus) == 1 and len(c_minus) == 1
-    if not singles:
+    warnings: tuple[str, ...] = ()
+    if len(c_plus) > 1 or len(c_minus) > 1:
         if (len(c_plus) > 1 and d_plus is None) or \
                 (len(c_minus) > 1 and d_minus is None):
-            return result("none")
+            return None, None, None, "none", None, warnings
         if d_plus is not None and d_minus is not None and d_plus != d_minus:
-            return result("none")
+            return None, None, None, "none", None, warnings
         delta = d_plus if d_plus is not None else d_minus
         assert delta is not None
         ms = ms_plus + ms_minus
@@ -308,7 +354,7 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
                     proper = True
         tau = 2 * math.pi / (g * root)
         if not proper:
-            return result("improper-only", delta, g, tau)
+            return delta, g, tau, "improper-only", None, warnings
     else:
         # both classes singleton: within-class gcd undefined; the pair gap
         # fixes the minimum time (convention; always proper here)
@@ -321,8 +367,8 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
         else:
             delta, g = None, None
             tau = math.pi / abs(gap)
-        warnings.append("singleton support classes: minimum time set from "
-                        "the cross-class gap")
+        warnings = ("singleton support classes: minimum time set from "
+                    "the cross-class gap",)
 
     two_adic = None
     if delta is not None and len(c_plus) == 2 and len(c_minus) == 2:
@@ -339,7 +385,7 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
     if obs.off_block_norm < 1e-7 and abs(obs.block[0, 0]) < 1e-7 \
             and abs(obs.block[1, 1]) < 1e-7:
         verdict = "proper-PST"
-    return result(verdict, delta, g, tau, two_adic)
+    return delta, g, tau, verdict, two_adic, warnings
 
 
 def verify_fr_at(D: SpectralDecomposition, a: int, b: int,

@@ -3,9 +3,11 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revival_lab import exact
 from revival_lab.exact import (QuadraticValue, charpoly_int,
                                fermat_two_squares, is_prime, poly_mul, poly_sub, poly_text,
                                rationalize, square_free_part,
@@ -249,6 +251,55 @@ def faddeev_leverrier(A):
     return coeffs
 
 
+def per_prime_charpoly_mod(H, p):
+    """Reference det(tI - H) mod p for one int64 matrix and one prime: the
+    Hessenberg reduction and recurrence of ``_charpoly_mod``, one prime at
+    a time, with that prime's own pivots."""
+    H = H.copy()
+    n = len(H)
+    for j in range(n - 2):
+        nonzero = H[j + 1:, j].nonzero()[0]
+        if nonzero.size == 0:
+            continue
+        i = j + 1 + int(nonzero[0])
+        if i != j + 1:
+            H[[i, j + 1], :] = H[[j + 1, i], :]
+            H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        rows = j + 2 + H[j + 2:, j].nonzero()[0]
+        if rows.size == 0:
+            continue
+        f = H[rows, j] * pow(int(H[j + 1, j]), -1, p) % p
+        H[rows, j:] = (H[rows, j:] - np.outer(f, H[j + 1, j:])) % p
+        H[:, j + 1] = (H[:, j + 1] + H[:, rows] @ f) % p
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    w = np.zeros(0, dtype=np.int64)
+    for m in range(n):
+        if m:
+            w = np.append(w, 1) * H[m, m - 1] % p
+        P[m + 1, 1:] = P[m, :-1]
+        P[m + 1] -= H[m, m] * P[m] % p
+        used = H[:m, m].nonzero()[0]
+        P[m + 1, :m] -= (H[used, m] * w[used] % p) @ P[used, :m] % p
+        P[m + 1] %= p
+    return P[n].tolist()
+
+
+def per_prime_charpoly(A, primes):
+    """Reference charpoly_int over the given primes: one reduction per
+    prime, then the Chinese remainder theorem into symmetric residues."""
+    coeffs, modulus = [0] * (len(A) + 1), 1
+    for p in primes:
+        H = np.array([[x % p for x in row] for row in A], dtype=np.int64)
+        for e, r in enumerate(per_prime_charpoly_mod(H, p)):
+            # the unique residue mod modulus * p that is coeffs[e] mod
+            # modulus and r mod p
+            coeffs[e] += modulus * ((r - coeffs[e])
+                                    * pow(modulus, -1, p) % p)
+        modulus *= p
+    return [c - modulus if c > modulus // 2 else c for c in coeffs]
+
+
 def path_poly(n):
     """phi(P_n) by the Chebyshev recurrence phi_n = t phi_{n-1} - phi_{n-2}."""
     prev, cur = [1], [0, 1]
@@ -364,6 +415,38 @@ class TestCharpolyInt:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             charpoly_int([[1, 2, 3], [4, 5, 6]])
+
+    def test_stacked_kernels_match_per_prime_reference(self):
+        """Seeded random matrices, n = 1..40: both kernels, on a stack of
+        the matrix and its negation over three primes, give the residues
+        of the per-prime reference, and charpoly_int its polynomial. At
+        every third n one entry equals the first prime of the block: zero
+        modulo that prime alone, so the pivots differ between primes."""
+        rng = random.Random(14)
+        for n in range(1, 41):
+            bits = (62 - n.bit_length()) // 2
+            primes = exact._primes_below(bits, 0)[:3]
+            A = [[rng.choice((0, 0, 1, -1, 2, rng.randint(-50, 50)))
+                  for _ in range(n)] for _ in range(n)]
+            if n % 3 == 0:
+                A[1][0], A[2][0] = 0, primes[0]
+            stack = np.array([A, [[-x for x in row] for row in A]])
+            H = np.stack([stack % p for p in primes]).reshape(-1, n, n)
+            p = np.repeat(np.array(primes, dtype=np.int64), 2)
+            ref = [per_prime_charpoly_mod(h, int(q)) for h, q in zip(H, p)]
+            assert exact._charpoly_mod(H.copy(), p).tolist() == ref, n
+            assert [exact._charpoly_mod_small(h, int(q))
+                    for h, q in zip(H.tolist(), p)] == ref, n
+            # every coefficient is at most (1 + R)**n in absolute value
+            R = max(sum(abs(x) for x in row) for row in A)
+            need, modulus = [], 1
+            for q in (q for block in range(100)
+                      for q in exact._primes_below(bits, block)):
+                if modulus > 2 * (1 + R) ** n:
+                    break
+                need.append(q)
+                modulus *= q
+            assert charpoly_int(A) == per_prime_charpoly(A, need), n
 
 
 def test_poly_helpers():

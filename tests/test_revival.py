@@ -1,16 +1,19 @@
+import gc
+import inspect
 import itertools
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from revival_lab import revival
 from revival_lab.graphs import Graph, build_path, build_stellar
-from revival_lab.revival import (_fr_observation, _gates, _pair_entries,
-                                 certify_fr, verify_fr_at)
+from revival_lab.revival import (RevivalCertificate, _fr_observation, _gates,
+                                 _pair_entries, certify_fr, verify_fr_at)
 from revival_lab.spectral import decompose, stellar_decompose, transition_rows
 from revival_lab.states import subset_state, support_graph
 from revival_lab.stellar import double_star_tree
@@ -146,22 +149,28 @@ def test_singleton_pair_entries_match_projector_rows(parity_cases):
 
 class TestGateTable:
     """A decomposition's first certification builds the gates of all its
-    pairs at once, when n^2 m <= 2^16; past that guard, and for a pair that
-    the quotient answers, the same gates are evaluated on a batch of one."""
+    pairs at once, when n^2 m <= _TABLE_MAX_ENTRIES; past that guard, and
+    for a pair that the quotient answers, the same gates are evaluated on a
+    batch of one."""
 
     @staticmethod
     def assert_paths_agree(D, label):
-        """Every ordered pair: the table built by D's first certification
-        against the batch-of-one gates of the pair, byte for byte."""
+        """Every ordered pair: the table rows built by D's first
+        certification against the batch-of-one gates of the pair, bit for
+        bit (the ratio through float.hex)."""
         certify_fr(D, 0, 1)
-        table = D.memo.get("gates")
-        assert (table is not None) == (D.n ** 2 * D.m <= 2 ** 16), label
-        if table is None:
+        rows = D.memo.get("gates")
+        assert (rows is not None) == (
+            D.n ** 2 * D.m <= revival._TABLE_MAX_ENTRIES), label
+        if rows is None:
             return
         for a, b in itertools.permutations(range(D.n), 2):
-            single = _gates(*_pair_entries(D, a, b))
-            for kept, referee in zip(table, single):
-                assert kept[a, b].tobytes() == referee.tobytes(), (label, a, b)
+            flags, ratio, signs = _gates(*_pair_entries(D, a, b))
+            i = a * D.n + b
+            assert rows.flags[i] == int(flags), (label, a, b)
+            assert rows.ratio[i].hex() == float(ratio).hex(), (label, a, b)
+            assert rows.signs[i * D.m:(i + 1) * D.m].tolist() \
+                == signs.tolist(), (label, a, b)
 
     def test_atlas_paths_agree(self):
         import networkx as nx
@@ -177,37 +186,57 @@ class TestGateTable:
     def test_random_graphs_paths_agree(self):
         import networkx as nx
         crossed = 0
-        for n in (8, 13, 21, 30, 40, 41):
+        for n in (8, 13, 20, 21, 30, 40, 41):
             g = nx.gnp_random_graph(n, 0.3, seed=n)
             assert nx.is_connected(g)
             D = decompose(Graph.from_edges(n, list(g.edges())))
-            crossed += D.n ** 2 * D.m > 2 ** 16
+            crossed += D.n ** 2 * D.m > revival._TABLE_MAX_ENTRIES
             self.assert_paths_agree(D, n)
-        assert crossed == 1  # n^2 m <= 2^16 fails only at n = 41
+        # every spectrum is simple, so n^3 <= 2^13 fails from n = 21 on
+        assert crossed == 4
 
     def test_built_on_first_call_and_compact(self, monkeypatch):
-        from revival_lab import revival
         D = decompose(build_path(7))
         # the first call answers from the table, with no batch of one
         monkeypatch.delattr(revival, "_pair_entries")
         certify_fr(D, 0, 6)
-        flags, ratio, signs = D.memo["gates"]
-        assert (flags.dtype, ratio.dtype, signs.dtype) == (
-            np.uint8, np.float64, np.int8)
-        assert (flags.shape, ratio.shape, signs.shape) == (
-            (7, 7), (7, 7), (7, 7, D.m))
-        # no view keeps a float temporary of the build alive
-        assert all(x.base is None for x in (flags, ratio, signs))
+        rows = D.memo["gates"]
+        assert (rows.n, rows.m) == (7, D.m)
+        assert (type(rows.flags), rows.ratio.typecode, rows.signs.typecode) \
+            == (bytes, "d", "b")
+        assert (len(rows.flags), len(rows.ratio), len(rows.signs)) == (
+            49, 49, 49 * D.m)
+        # the rows are copies: no numpy array of the build is kept alive
+        assert not any(isinstance(x, np.ndarray)
+                       for x in gc.get_referents(rows))
 
     def test_no_table_past_the_guard(self):
         D = decompose(build_path(60))
-        assert D.n ** 2 * D.m > 2 ** 16
+        assert D.n ** 2 * D.m > revival._TABLE_MAX_ENTRIES
         certify_fr(D, 0, 59)
         certify_fr(D, 1, 58)
         assert "gates" not in D.memo
 
+    def test_lone_pair_on_a_mid_size_prism(self):
+        """C25 x K2 (n = 50, m = 26) is past the guard: a lone pair is
+        answered from a batch of one, with the certificate that the table
+        of all pairs gives."""
+        m = 25
+        cycle = [(i, (i + 1) % m) for i in range(m)]
+        X = Graph.from_edges(2 * m, cycle + [(u + m, v + m) for u, v in cycle]
+                             + [(i, i + m) for i in range(m)])
+        D = decompose(X)
+        cert = certify_fr(D, 0, 25)
+        assert "gates" not in D.memo
+        referee = decompose(X)
+        referee.memo["gates"] = revival._gate_rows(referee)
+        doc = cert.to_json_dict()
+        assert doc == certify_fr(referee, 0, 25).to_json_dict()
+        assert (doc["verdict"], doc["gamma"], doc["parallel"],
+                doc["cospectral"], len(doc["C_plus"]),
+                len(doc["C_minus"])) == ("none", "0/1", True, True, 13, 13)
+
     def test_exact_gamma_skips_the_ratio(self, monkeypatch):
-        from revival_lab import revival
         calls = []
         real = revival._gamma_ratio
 
@@ -233,6 +262,29 @@ class TestGateTable:
         assert "gates" in D.memo and copy.memo == {}
         assert "memo" not in repr(D)
         assert stellar_decompose(3, 2, 6).memo == {}
+
+
+class TestCertificateInit:
+    """RevivalCertificate has a hand-written __init__ and stays a frozen
+    dataclass."""
+
+    def test_parameters_match_the_fields(self):
+        params = inspect.signature(RevivalCertificate).parameters.values()
+        fs = fields(RevivalCertificate)
+        assert [p.name for p in params] == [f.name for f in fs]
+        for p, f in zip(params, fs):
+            empty = f.default is MISSING
+            assert p.default == (p.empty if empty else f.default), p.name
+
+    def test_frozen_and_comparable(self):
+        cert = certify_fr(decompose(build_path(2)), 0, 1)
+        with pytest.raises(FrozenInstanceError):
+            cert.verdict = "none"
+        copy = replace(cert)
+        assert copy == cert and hash(copy) == hash(cert)
+        assert replace(cert, verdict="none") != cert
+        assert RevivalCertificate((0, 1), False, False, None, False, (), (),
+                                  None, None, None, "none").warnings == ()
 
 
 class TestVerifyFRAt:
