@@ -375,99 +375,43 @@ def _primes_below(bits: int, block: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _charpoly_mod(H: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """det(tI - H[s]) mod p[s], ascending, for each slice s of an (k, n, n)
-    int64 stack whose slice s has entries in [0, p[s]). Each slice is
-    reduced in place to upper Hessenberg form by similarity (Cohen, A
-    Course in Computational Algebraic Number Theory, alg. 2.2.9) with its
-    own pivots; a row or column that is zero in every slice is skipped, and
-    in a slice where it is zero its update is zero. Callers keep
-    n * p**2 below 2**63, so no int64 sum can overflow.
+def _charpoly_mod(H: np.ndarray, p: int) -> np.ndarray:
+    """det(tI - H) mod p, ascending, for an int64 matrix H with entries in
+    [0, p). H is reduced in place to upper Hessenberg form by similarity
+    (Cohen, A Course in Computational Algebraic Number Theory, alg. 2.2.9).
+    Callers keep n * p**2 below 2**63, so no int64 sum can overflow.
     """
-    n = H.shape[1]
-    mod, primes = p[:, None], p.tolist()
-    for j in range(n - 2):
-        col = H[:, j + 1:, j]
-        rows = j + 2 + np.bitwise_or.reduce(col[:, 1:], axis=0).nonzero()[0]
-        if rows.size == 0:
-            continue  # no slice has a nonzero below H[j + 1, j]
-        # the pivot of each slice is its first nonzero below the diagonal
-        first = (col != 0).argmax(axis=1)
-        swap = first.nonzero()[0]
-        if swap.size:
-            i = j + 1 + first[swap]
-            H[swap, i], H[swap, j + 1] = H[swap, j + 1], H[swap, i]
-            H[swap, :, i], H[swap, :, j + 1] = \
-                H[swap, :, j + 1], H[swap, :, i]
-        inv = np.array([pow(v, -1, q) if v else 0
-                        for v, q in zip(H[:, j + 1, j].tolist(), primes)])
-        f = H[:, rows, j] * inv[:, None] % mod
-        # row i > j+1 loses f_i times row j+1, and column j+1 gains f_i
-        # times column i, which undoes the row step on the other side
-        H[:, rows, j:] = (H[:, rows, j:] - f[:, :, None]
-                          * H[:, None, j + 1, j:]) % p[:, None, None]
-        H[:, :, j + 1] = (H[:, :, j + 1]
-                          + (H[:, :, rows] @ f[:, :, None])[:, :, 0]) % mod
-    # P[m] = det(tI - H[:m, :m]) = t P[m-1] - sum_{i<m} H[i, m-1] w[i] P[i]
-    # with w[i] = H[i+1, i] * ... * H[m-1, m-2] (and w[m-1] = 1)
-    P = np.zeros((len(p), n + 1, n + 1), dtype=np.int64)
-    P[:, 0, 0] = 1
-    w = np.zeros((len(p), n), dtype=np.int64)
-    for m in range(n):
-        w[:, :m] *= H[:, m, m - 1, None]
-        w[:, :m] %= mod
-        w[:, m] = 1
-        # only the rows i with H[i, m] nonzero in some slice contribute
-        used = np.bitwise_or.reduce(H[:, :m + 1, m], axis=0).nonzero()[0]
-        c = H[:, used, m] * w[:, used] % mod
-        P[:, m + 1, 1:] = P[:, m, :-1]
-        P[:, m + 1] -= (c[:, None, :] @ P[:, used])[:, 0]
-        P[:, m + 1] %= mod
-    return P[:, n]
-
-
-def _charpoly_mod_small(H: list[list[int]], p: int) -> list[int]:
-    """``_charpoly_mod`` of one slice, given as lists of Python ints, in
-    pure Python: the same reduction and recurrence, one entry at a time.
-    On small matrices numpy's cost per call would outweigh the work."""
     n = len(H)
     for j in range(n - 2):
-        i = next((i for i in range(j + 1, n) if H[i][j]), None)
-        if i is None:
+        nonzero = H[j + 1:, j].nonzero()[0]
+        if nonzero.size == 0:
             continue
+        i = j + 1 + int(nonzero[0])
         if i != j + 1:
-            H[i], H[j + 1] = H[j + 1], H[i]
-            for row in H:
-                row[i], row[j + 1] = row[j + 1], row[i]
-        pivot = H[j + 1]
-        inv = pow(pivot[j], -1, p)
-        for r in range(j + 2, n):
-            row = H[r]
-            if row[j]:
-                f = row[j] * inv % p
-                row[j:] = [(x - f * y) % p for x, y in zip(row[j:], pivot[j:])]
-                for other in H:
-                    other[j + 1] = (other[j + 1] + f * other[r]) % p
-    P = [[1]]
+            H[[i, j + 1], :] = H[[j + 1, i], :]
+            H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        rows = j + 2 + H[j + 2:, j].nonzero()[0]
+        if rows.size == 0:
+            continue
+        f = H[rows, j] * pow(int(H[j + 1, j]), -1, p) % p
+        # row i > j+1 loses f_i times row j+1, and column j+1 gains f_i
+        # times column i, which undoes the row step on the other side
+        H[rows, j:] = (H[rows, j:] - np.outer(f, H[j + 1, j:])) % p
+        H[:, j + 1] = (H[:, j + 1] + H[:, rows] @ f) % p
+    # P[m] = det(tI - H[:m, :m]); w[i] = H[i+1, i] * ... * H[m-1, m-2]
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    w = np.zeros(0, dtype=np.int64)
     for m in range(n):
-        P.append([0] + P[m])
-        w = 1
-        for i in range(m, -1, -1):
-            if H[i][m]:
-                c = H[i][m] * w % p
-                for e, x in enumerate(P[i]):
-                    P[m + 1][e] -= c * x
-            if i:
-                w = w * H[i][i - 1] % p
-        P[m + 1] = [x % p for x in P[m + 1]]
+        if m:
+            w = np.append(w, 1) * H[m, m - 1] % p
+        P[m + 1, 1:] = P[m, :-1]
+        P[m + 1] -= H[m, m] * P[m] % p
+        # only nonzero H[i, m] contribute, and P[i] has degree i < m
+        used = H[:m, m].nonzero()[0]
+        P[m + 1, :m] -= (H[used, m] * w[used] % p) @ P[used, :m] % p
+        P[m + 1] %= p
     return P[n]
-
-
-# Stacks of at most this many k n**3 (k slices of n x n) run through the
-# pure-Python kernel. Measured on 2 x86 cores with numpy 2.4, it took 10 us
-# at n = 4 and 0.19 ms for two slices at n = 10, where the numpy kernel took
-# 0.09 and 0.39 ms; the two cross near k n**3 = 2**12 on dense matrices.
-_SMALL_STACK = 2 ** 12
 
 
 def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
@@ -477,15 +421,14 @@ def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
     Hessenberg method: for each word-size prime p, A mod p is reduced to
     upper Hessenberg form by similarity and det(tI - A) mod p read from the
     Hessenberg recurrence (Cohen, ch. 2). The residues are combined by the
-    Chinese remainder theorem into symmetric residues, over primes whose
-    product exceeds 2B, where B = max_k C(n, k) R**k and R is the largest
-    absolute row sum. R bounds every eigenvalue, so |c_{n-k}|, a k-th
-    elementary symmetric function of them, is at most C(n, k) R**k <= B.
-    The symmetric residue is then the coefficient itself: the result is
-    exact, not probabilistic. Cost: O(n**3) int64 work per prime, and
+    Chinese remainder theorem into symmetric residues until the product of
+    the primes exceeds 2B, where B = max_k C(n, k) R**k and R is the
+    largest absolute row sum. R bounds every eigenvalue, so |c_{n-k}|, a
+    k-th elementary symmetric function of them, is at most C(n, k) R**k
+    <= B. The symmetric residue is then the coefficient itself: the result
+    is exact, not probabilistic. Cost: O(n**3) int64 work per prime, and
     B <= (1 + R)**n, so about n * log2(1 + R) / 27 primes of 27 bits at
-    n = 200; all of them run through one stacked Hessenberg pass (a small
-    stack in pure Python, one slice at a time).
+    n = 200.
     """
     n = len(A)
     if n == 0:
@@ -493,47 +436,26 @@ def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
     entries = np.array([[int(x) for x in row] for row in A], dtype=object)
     if entries.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    return _charpolys_int(entries[None])[0]
-
-
-def _charpolys_int(entries: np.ndarray) -> list[list[int]]:
-    """``charpoly_int`` of each n x n matrix of a (k, n, n) stack of
-    integers, for n >= 1: int64 whose absolute row sums fit an int64, or
-    object for any size. The k matrices and their primes share one stacked
-    Hessenberg pass."""
-    k, n = entries.shape[:2]
-    R = int(abs(entries).sum(axis=2).max())
-    bound = max(math.comb(n, e) * R**e for e in range(n + 1))
+    R = int(abs(entries).sum(axis=1).max())
+    bound = max(math.comb(n, k) * R**k for k in range(n + 1))
     # n * p**2 + p < 2**63 for every p < 2**bits
     bits = (62 - n.bit_length()) // 2
-    primes, modulus = [], 1
-    for p in (p for block in itertools.count()
-              for p in _primes_below(bits, block)):
-        primes.append(p)
+    coeffs, modulus = [0] * (n + 1), 1
+    primes = (p for block in itertools.count()
+              for p in _primes_below(bits, block))
+    for p in primes:
+        # reduce the Python ints first: entries may not fit in an int64
+        H = (entries % p).astype(np.int64)
+        residues = _charpoly_mod(H, p).tolist()
+        # Garner step: lift coeffs mod `modulus` to coeffs mod modulus * p
+        inv = pow(modulus % p, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p)
+                  for c, r in zip(coeffs, residues)]
         modulus *= p
         if modulus > 2 * bound:
             break
-    # reduce before the cast: object entries may not fit in an int64
-    H = np.stack([(entries % p).astype(np.int64) for p in primes])
-    if len(primes) * k * n ** 3 <= _SMALL_STACK:
-        residues = [[_charpoly_mod_small(h, p) for h in stack]
-                    for p, stack in zip(primes, H.tolist())]
-    else:
-        moduli = np.repeat(np.array(primes, dtype=np.int64), k)
-        residues = _charpoly_mod(H.reshape(-1, n, n), moduli).reshape(
-            len(primes), k, n + 1).tolist()
-    polys = []
-    for s in range(k):
-        coeffs, modulus = [0] * (n + 1), 1
-        for p, rows in zip(primes, residues):
-            # Garner step: lift coeffs mod `modulus` to mod modulus * p
-            inv = pow(modulus % p, -1, p)
-            coeffs = [c + modulus * ((r - c) * inv % p)
-                      for c, r in zip(coeffs, rows[s])]
-            modulus *= p
-        half = modulus // 2
-        polys.append([c - modulus if c > half else c for c in coeffs])
-    return polys
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
 
 
 def poly_mul(a: Iterable[int], b: Iterable[int]) -> list[int]:

@@ -291,6 +291,11 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
     """
     if a == b:
         raise ValueError("vertex pair must be distinct")
+    # the gate table is read at a n + b, where an index out of range
+    # would name another pair
+    if not (0 <= a < D.n and 0 <= b < D.n):
+        raise ValueError(f"vertex pair ({a}, {b}) out of range for "
+                         f"{D.n} vertices")
     if not D.connected:
         raise ValueError("certification requires a connected graph")
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _charpolys_int
-from .graphs import Graph
+from .exact import charpoly_int
+from .graphs import Graph, induced_subgraph
 from .revival import FRObservation, _fr_observation
 from .spectral import (SpectralDecomposition, _stellar_decomposition,
                        transition_matrix, transition_rows)
@@ -106,25 +106,23 @@ def induced_cospectrality(X: Graph, S: set[int],
     complements, by integer characteristic polynomials.
 
     Sets of different sizes have polynomials of different degrees, and so
-    have their complements. Each distinct vertex set is computed once (when
-    T is the complement of S, the four polynomials are two), and the sets
-    of one size share one stacked ``charpoly_int`` pass.
+    have their complements. Each distinct vertex set is computed once: when
+    T is the complement of S, the four polynomials are two.
     """
     S, T = frozenset(S), frozenset(T)
     if len(S) != len(T):
         return False, False
-    all_v = frozenset(range(X.n))
-    if not S <= all_v or not T <= all_v:
-        raise ValueError("vertex out of range")
-    sets = (S, T, all_v - S, all_v - T)
-    A = X.adjacency().astype(np.int64)
     polys: dict[frozenset[int], list[int]] = {frozenset(): [1]}
-    for size in {len(v) for v in sets} - {0}:
-        group = list(dict.fromkeys(v for v in sets if len(v) == size))
-        blocks = [A[np.ix_(idx, idx)] for idx in map(sorted, group)]
-        polys.update(zip(group, _charpolys_int(np.stack(blocks))))
-    return (polys[S] == polys[T],
-            polys[all_v - S] == polys[all_v - T])
+
+    def charpoly_of(vertices: frozenset[int]) -> list[int]:
+        if vertices not in polys:
+            sub, _ = induced_subgraph(X, vertices)
+            polys[vertices] = charpoly_int(sub.adjacency().astype(int).tolist())
+        return polys[vertices]
+
+    all_v = frozenset(range(X.n))
+    return (charpoly_of(S) == charpoly_of(T),
+            charpoly_of(all_v - S) == charpoly_of(all_v - T))
 
 
 def average_state_equality(D: SpectralDecomposition,

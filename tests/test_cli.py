@@ -71,6 +71,15 @@ class TestAnalyzeCommand:
         code, _ = run_cli(["analyze", "--graph", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("pair", [("0", "4"), ("4", "0"), ("-1", "0")])
+    def test_pair_out_of_range_exit_two(self, tmp_path, capsys, pair):
+        path = tmp_path / "p4.json"
+        path.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+        code, text = run_cli(["analyze", "--graph", str(path),
+                              "--pair", *pair])
+        assert code == 2 and text == ""
+        assert "out of range" in capsys.readouterr().err
+
     def test_missing_graph_exit_two(self):
         code, _ = run_cli(["analyze"])
         assert code == 2

@@ -252,37 +252,44 @@ def faddeev_leverrier(A):
 
 
 def per_prime_charpoly_mod(H, p):
-    """Reference det(tI - H) mod p for one int64 matrix and one prime: the
-    Hessenberg reduction and recurrence of ``_charpoly_mod``, one prime at
-    a time, with that prime's own pivots."""
-    H = H.copy()
+    """Reference det(tI - H) mod p for one matrix, given as lists of ints in
+    [0, p), and one prime: the Hessenberg reduction and recurrence of
+    ``_charpoly_mod`` in pure Python, one entry at a time, with that
+    prime's own pivots."""
+    H = [list(row) for row in H]
     n = len(H)
     for j in range(n - 2):
-        nonzero = H[j + 1:, j].nonzero()[0]
-        if nonzero.size == 0:
+        i = next((i for i in range(j + 1, n) if H[i][j]), None)
+        if i is None:
             continue
-        i = j + 1 + int(nonzero[0])
         if i != j + 1:
-            H[[i, j + 1], :] = H[[j + 1, i], :]
-            H[:, [i, j + 1]] = H[:, [j + 1, i]]
-        rows = j + 2 + H[j + 2:, j].nonzero()[0]
-        if rows.size == 0:
-            continue
-        f = H[rows, j] * pow(int(H[j + 1, j]), -1, p) % p
-        H[rows, j:] = (H[rows, j:] - np.outer(f, H[j + 1, j:])) % p
-        H[:, j + 1] = (H[:, j + 1] + H[:, rows] @ f) % p
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    w = np.zeros(0, dtype=np.int64)
+            H[i], H[j + 1] = H[j + 1], H[i]
+            for row in H:
+                row[i], row[j + 1] = row[j + 1], row[i]
+        pivot = H[j + 1]
+        inv = pow(pivot[j], -1, p)
+        for r in range(j + 2, n):
+            row = H[r]
+            if row[j]:
+                f = row[j] * inv % p
+                row[j:] = [(x - f * y) % p for x, y in zip(row[j:], pivot[j:])]
+                for other in H:
+                    other[j + 1] = (other[j + 1] + f * other[r]) % p
+    # P[m] = det(tI - H[:m, :m]) = t P[m-1] - sum_{i<m} H[i, m-1] w[i] P[i]
+    # with w[i] = H[i+1, i] * ... * H[m-1, m-2]
+    P = [[1]]
     for m in range(n):
-        if m:
-            w = np.append(w, 1) * H[m, m - 1] % p
-        P[m + 1, 1:] = P[m, :-1]
-        P[m + 1] -= H[m, m] * P[m] % p
-        used = H[:m, m].nonzero()[0]
-        P[m + 1, :m] -= (H[used, m] * w[used] % p) @ P[used, :m] % p
-        P[m + 1] %= p
-    return P[n].tolist()
+        P.append([0] + P[m])
+        w = 1
+        for i in range(m, -1, -1):
+            if H[i][m]:
+                c = H[i][m] * w % p
+                for e, x in enumerate(P[i]):
+                    P[m + 1][e] -= c * x
+            if i:
+                w = w * H[i][i - 1] % p
+        P[m + 1] = [x % p for x in P[m + 1]]
+    return P[n]
 
 
 def per_prime_charpoly(A, primes):
@@ -290,7 +297,7 @@ def per_prime_charpoly(A, primes):
     prime, then the Chinese remainder theorem into symmetric residues."""
     coeffs, modulus = [0] * (len(A) + 1), 1
     for p in primes:
-        H = np.array([[x % p for x in row] for row in A], dtype=np.int64)
+        H = [[x % p for x in row] for row in A]
         for e, r in enumerate(per_prime_charpoly_mod(H, p)):
             # the unique residue mod modulus * p that is coeffs[e] mod
             # modulus and r mod p
@@ -416,12 +423,12 @@ class TestCharpolyInt:
         with pytest.raises(ValueError):
             charpoly_int([[1, 2, 3], [4, 5, 6]])
 
-    def test_stacked_kernels_match_per_prime_reference(self):
-        """Seeded random matrices, n = 1..40: both kernels, on a stack of
-        the matrix and its negation over three primes, give the residues
-        of the per-prime reference, and charpoly_int its polynomial. At
-        every third n one entry equals the first prime of the block: zero
-        modulo that prime alone, so the pivots differ between primes."""
+    def test_kernel_matches_per_prime_reference(self):
+        """Seeded random matrices, n = 1..40: the kernel gives the residues
+        of the pure-Python reference modulo each of three primes, and
+        charpoly_int the reference's polynomial. At every third n one entry
+        equals the first prime of the block: zero modulo that prime alone,
+        so the pivots differ between primes."""
         rng = random.Random(14)
         for n in range(1, 41):
             bits = (62 - n.bit_length()) // 2
@@ -430,13 +437,11 @@ class TestCharpolyInt:
                   for _ in range(n)] for _ in range(n)]
             if n % 3 == 0:
                 A[1][0], A[2][0] = 0, primes[0]
-            stack = np.array([A, [[-x for x in row] for row in A]])
-            H = np.stack([stack % p for p in primes]).reshape(-1, n, n)
-            p = np.repeat(np.array(primes, dtype=np.int64), 2)
-            ref = [per_prime_charpoly_mod(h, int(q)) for h, q in zip(H, p)]
-            assert exact._charpoly_mod(H.copy(), p).tolist() == ref, n
-            assert [exact._charpoly_mod_small(h, int(q))
-                    for h, q in zip(H.tolist(), p)] == ref, n
+            for p in primes:
+                H = [[x % p for x in row] for row in A]
+                assert exact._charpoly_mod(
+                    np.array(H, dtype=np.int64), p).tolist() \
+                    == per_prime_charpoly_mod(H, p), (n, p)
             # every coefficient is at most (1 + R)**n in absolute value
             R = max(sum(abs(x) for x in row) for row in A)
             need, modulus = [], 1

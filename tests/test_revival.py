@@ -122,6 +122,18 @@ class TestCertifyFR:
         with pytest.raises(ValueError):
             certify_fr(decompose(build_path(2)), 0, 0)
 
+    def test_rejects_pair_out_of_range(self):
+        # the table is read at a n + b: (0, 4) on P4 would read (1, 0)
+        D = decompose(build_path(4))
+        for pair in ((0, 4), (0, 4), (4, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                certify_fr(D, *pair)
+        certify_fr(D, 0, 1)  # builds the table
+        assert "gates" in D.memo
+        for pair in ((0, 4), (3, 4), (-1, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                certify_fr(D, *pair)
+
     def test_json_round_trip(self):
         import json
         D = stellar_decompose(3, 2, 6)
