@@ -102,33 +102,21 @@ class RevivalCertificate:
 
 # The gates below take the entries (E_r)_aa, (E_r)_bb and (E_r)_ab of a pair
 # with the eigenvalue index r on the last axis and any leading batch shape:
-# () for one pair, (n, n) for every pair of a decomposition.
+# () for one pair, (n, n) for every pair of a decomposition, or a stack of
+# either. The entries are finite (``decompose`` guarantees it).
 
 
-def _parallel(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
-              tol: float) -> np.ndarray:
-    """Every block [[aa, ab], [ab, bb]] has rank at most 1 (|det| <= tol)."""
-    return (abs(aa * bb - ab * ab) <= tol).all(axis=-1)
-
-
-def _cospectral(aa: np.ndarray, bb: np.ndarray, tol: float) -> np.ndarray:
-    return (abs(aa - bb) < tol).all(axis=-1)
-
-
-def _gamma_ratio(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(consistent, ratio): whether one ratio (aa - bb) / ab holds for every
-    r with ab above its negligible level, and that ratio (0 when no r has
-    off-diagonal weight: degenerate, treated as cospectral)."""
-    diff = aa - bb
-    # the negligible level is SUPPORT_TOL * max(1, max_r |ab|), and |ab| <=
-    # 1/2 for a != b: a 2x2 block of a projector lies between 0 and I
-    weighty = abs(ab) > SUPPORT_TOL
-    ratios = np.divide(diff, ab, out=np.zeros_like(diff), where=weighty)
-    # exact: the first weighty r is the one term that can be nonzero
-    ratio = (ratios * (weighty.cumsum(axis=-1) == 1)).sum(axis=-1)
+def _first_ratio(diff: np.ndarray, ab: np.ndarray,
+                 weighty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(broken, ratio): the ratio diff / ab at the first weighty r (+-0 if
+    none is: degenerate, treated as cospectral), and whether each r breaks
+    it past GAMMA_RESIDUAL_TOL, by its own ratio or, not weighty, its diff."""
+    ratios = diff / np.where(weighty, ab, np.inf)
+    first = weighty.argmax(axis=-1)
+    first += np.arange(0, ratios.size, ratios.shape[-1]).reshape(first.shape)
+    ratio = ratios.reshape(-1)[first]
     residual = np.where(weighty, ratios - ratio[..., None], diff)
-    return (abs(residual) <= tol).all(axis=-1), ratio
+    return abs(residual) > GAMMA_RESIDUAL_TOL, ratio
 
 
 def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
@@ -160,12 +148,10 @@ def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
 
 # Bit flags of a pair's gate outcomes.
 _PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4, 8
-_FLAG_BITS = np.array([_PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED],
-                      dtype=np.uint8)
 # The gate table of all pairs is built from an (n, n, m) float array. Up to
-# 2**13 entries it costs at most about five pairs answered one by one
-# (n = m = 20: 0.34 ms against 0.07 ms a pair on 2 x86 cores); past that
-# (n = m = 40: 4.3 ms against 0.08 ms) a decomposition keeps answering
+# 2**13 entries it costs at most about four pairs answered one by one
+# (n = m = 20: 0.26 ms against 0.06 ms a pair on 2 x86 cores); past that
+# (n = m = 40: 2.6 ms against 0.07 ms) a decomposition keeps answering
 # pairs one by one.
 _TABLE_MAX_ENTRIES = 2 ** 13
 
@@ -184,18 +170,28 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
            with_ratio: bool = True) -> _Gates:
     """Every gate of certify_fr before conditions (c) and (d). Without
     ``with_ratio`` (gamma is known exactly) the gamma ratio is not computed:
-    it reads 0 and the commutative flag stays clear."""
-    if with_ratio:
-        consistent, ratio = _gamma_ratio(aa, bb, ab, GAMMA_RESIDUAL_TOL)
-    else:
-        consistent, ratio = np.False_, np.zeros(np.shape(aa)[:-1])
+    it reads 0 and the commutative flag stays clear. Each r has one byte of
+    the gates it violates and the unclassified bit (supported, in no class):
+    one OR over r, with the first three bits flipped, gives the flags."""
+    diff = aa - bb
+    # the negligible level is SUPPORT_TOL * max(1, max_r |ab|), and |ab| <=
+    # 1/2 for a != b: a 2x2 block of a projector lies between 0 and I
+    pos, neg = ab > SUPPORT_TOL, ab < -SUPPORT_TOL
+    signs = np.subtract(pos, neg, dtype=np.int8)
+    weighty = pos | neg
+    # every block [[aa, ab], [ab, bb]] has rank at most 1 (|det| <= tol)
+    bits = (abs(aa * bb - ab * ab) > PARALLEL_TOL).view(np.uint8)
+    bits |= (abs(diff) >= COSPECTRAL_TOL) * np.uint8(_COSPECTRAL)
     # |ab| <= reach_a, so a signed eigenvalue is always in the support
-    signs = np.subtract(ab > SUPPORT_TOL, ab < -SUPPORT_TOL, dtype=np.int8)
     supported = np.maximum(reach_a, reach_b) > SUPPORT_TOL
-    bits = (_parallel(aa, bb, ab, PARALLEL_TOL),
-            _cospectral(aa, bb, COSPECTRAL_TOL), consistent,
-            (supported & (signs == 0)).any(axis=-1))
-    flags = np.concatenate([x[..., None] for x in bits], axis=-1) @ _FLAG_BITS
+    bits |= (supported & ~weighty) * np.uint8(_UNCLASSIFIED)
+    if with_ratio:
+        broken, ratio = _first_ratio(diff, ab, weighty)
+        bits |= broken * np.uint8(_COMMUTATIVE)
+    else:
+        ratio = np.zeros(diff.shape[:-1])
+    flags = np.bitwise_or.reduce(bits, axis=-1) ^ (
+        _PARALLEL | _COSPECTRAL | (_COMMUTATIVE if with_ratio else 0))
     return _Gates(flags, ratio, signs)
 
 
@@ -326,10 +322,10 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
                                   None, "none", None, warnings)
     return RevivalCertificate((a, b), parallel, commutative, gamma,
                               cospectral, c_plus, c_minus,
-                              *_revival_time(D, a, b, c_plus, c_minus))
+                              *_revival_time(D, a, b, gamma, c_plus, c_minus))
 
 
-def _revival_time(D: SpectralDecomposition, a: int, b: int,
+def _revival_time(D: SpectralDecomposition, a: int, b: int, gamma: Fraction,
                   c_plus: tuple[float, ...],
                   c_minus: tuple[float, ...]) -> tuple:
     """The certificate's (delta, g, tau_min, verdict, two_adic, warnings)
@@ -385,11 +381,13 @@ def _revival_time(D: SpectralDecomposition, a: int, b: int,
         if alpha and beta:
             two_adic = (two_adic_valuation(alpha), two_adic_valuation(beta))
 
-    obs = verify_fr_at(D, a, b, tau)
+    # PST makes a and b strongly cospectral, so gamma = 0
     verdict = "proper-FR"
-    if obs.off_block_norm < 1e-7 and abs(obs.block[0, 0]) < 1e-7 \
-            and abs(obs.block[1, 1]) < 1e-7:
-        verdict = "proper-PST"
+    if gamma == 0:
+        obs = verify_fr_at(D, a, b, tau)
+        if obs.off_block_norm < 1e-7 and abs(obs.block[0, 0]) < 1e-7 \
+                and abs(obs.block[1, 1]) < 1e-7:
+            verdict = "proper-PST"
     return delta, g, tau, verdict, two_adic, warnings
 
 

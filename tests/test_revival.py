@@ -12,7 +12,7 @@ import pytest
 
 from revival_lab import revival
 from revival_lab.graphs import Graph, build_path, build_stellar
-from revival_lab.revival import (RevivalCertificate, _fr_observation, _gates,
+from revival_lab.revival import (RevivalCertificate, _fr_observation,
                                  _pair_entries, certify_fr, verify_fr_at)
 from revival_lab.spectral import decompose, stellar_decompose, transition_rows
 from revival_lab.states import subset_state, support_graph
@@ -134,6 +134,29 @@ class TestCertifyFR:
             with pytest.raises(ValueError, match="out of range"):
                 certify_fr(D, *pair)
 
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls = []
+        real = revival.verify_fr_at
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(revival, "verify_fr_at", counting)
+        return calls
+
+    def test_pst_check_skipped_when_gamma_is_not_zero(self, oracle_calls):
+        # PST makes the pair cospectral, so gamma = 0
+        cert = certify_fr(stellar_decompose(3, 2, 6), 0, 1)
+        assert (cert.verdict, cert.gamma) == ("proper-FR", Fraction(-3, 2))
+        assert oracle_calls == []
+
+    def test_pst_check_runs_when_gamma_is_zero(self, oracle_calls):
+        cert = certify_fr(decompose(build_path(3)), 0, 2)
+        assert (cert.verdict, cert.gamma) == ("proper-PST", 0)
+        assert oracle_calls == [(0, 2)]
+
     def test_json_round_trip(self):
         import json
         D = stellar_decompose(3, 2, 6)
@@ -159,6 +182,113 @@ def test_singleton_pair_entries_match_projector_rows(parity_cases):
     assert checked > 500
 
 
+def _gamma_ratio(aa, bb, ab, tol):
+    """(consistent, ratio) as the first gate kernel computed them."""
+    diff = aa - bb
+    weighty = abs(ab) > revival.SUPPORT_TOL
+    ratios = np.divide(diff, ab, out=np.zeros_like(diff), where=weighty)
+    # the first weighty r is the one term that can be nonzero
+    ratio = (ratios * (weighty.cumsum(axis=-1) == 1)).sum(axis=-1)
+    residual = np.where(weighty, ratios - ratio[..., None], diff)
+    return (abs(residual) <= tol).all(axis=-1), ratio
+
+
+def _reference_gates(aa, bb, ab, reach_a, reach_b, with_ratio=True):
+    """The gate kernel as first written, the referee of revival._gates: one
+    reduction over r per gate, and the four outcomes packed into flags by a
+    matmul with their bit values."""
+    if with_ratio:
+        consistent, ratio = _gamma_ratio(aa, bb, ab,
+                                         revival.GAMMA_RESIDUAL_TOL)
+    else:  # the first kernel had np.False_, which fits only a batch of one
+        batch = np.shape(aa)[:-1]
+        consistent, ratio = np.zeros(batch, dtype=bool), np.zeros(batch)
+    tol = revival.SUPPORT_TOL
+    signs = np.subtract(ab > tol, ab < -tol, dtype=np.int8)
+    supported = np.maximum(reach_a, reach_b) > tol
+    parallel = (abs(aa * bb - ab * ab) <= revival.PARALLEL_TOL).all(axis=-1)
+    cospectral = (abs(aa - bb) < revival.COSPECTRAL_TOL).all(axis=-1)
+    unclassified = (supported & (signs == 0)).any(axis=-1)
+    bits = (parallel, cospectral, consistent, unclassified)
+    values = np.array([revival._PARALLEL, revival._COSPECTRAL,
+                       revival._COMMUTATIVE, revival._UNCLASSIFIED],
+                      dtype=np.uint8)
+    flags = np.concatenate([x[..., None] for x in bits], axis=-1) @ values
+    return flags, ratio, signs
+
+
+@pytest.fixture
+def refereed(monkeypatch):
+    """Checks every call of revival._gates against _reference_gates: flags
+    and signs exactly, with their dtypes, and the ratio under == (a zero
+    ratio may differ in sign). Returns the list of batch shapes checked."""
+    real, shapes = revival._gates, []
+
+    def checked(*args):
+        flags, ratio, signs = got = real(*args)
+        ref_flags, ref_ratio, ref_signs = _reference_gates(*args)
+        assert flags.dtype == np.uint8 and signs.dtype == np.int8
+        assert np.shape(flags) == np.shape(ref_flags)
+        assert np.array_equal(flags, ref_flags)
+        assert np.shape(ratio) == np.shape(ref_ratio)
+        assert np.array_equal(ratio, ref_ratio)
+        assert np.array_equal(signs, ref_signs)
+        shapes.append(np.shape(flags))
+        return got
+
+    monkeypatch.setattr(revival, "_gates", checked)
+    return shapes
+
+
+class TestGateKernel:
+    """revival._gates gives the reference kernel's outcomes on every batch
+    shape it is called with."""
+
+    def test_p400_pairs_as_batches_of_one(self, refereed):
+        D = decompose(build_path(400))
+        for pair in ((0, 399), (1, 2)):
+            certify_fr(D, *pair)
+        assert refereed == [(), ()] and "gates" not in D.memo
+
+    def test_fused_star_centers(self, refereed):
+        for a, k, c in [(3, 2, 6), (1, 4, 1), (12, 6, 28), (58, 46, 127)]:
+            D = stellar_decompose(a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                certify_fr(D, *pair)  # the exact gamma: no ratio
+                for with_ratio in (True, False):
+                    revival._gates(*_pair_entries(D, *pair), with_ratio)
+        assert refereed == [()] * 24
+
+    def test_stacked_batch(self, refereed):
+        """200 seeded 10-vertex graphs, every pair of each at once."""
+        rng = np.random.default_rng(16)
+        A = np.triu(rng.random((200, 10, 10)) < 0.4, 1)
+        V = np.linalg.eigh((A | A.transpose(0, 2, 1)).astype(float))[1]
+        diag, reach = V * V, abs(V)
+        reach = reach * reach.max(axis=1, keepdims=True)
+        revival._gates(diag[:, :, None], diag[:, None],
+                       V[:, :, None] * V[:, None], reach[:, :, None],
+                       reach[:, None])
+        assert refereed == [(200, 10, 10)]
+
+    def test_entries_near_the_tolerances(self, refereed):
+        """Synthetic entries whose determinants, differences, gamma
+        residuals and weights spread across every gate's threshold."""
+        rng = np.random.default_rng(16)
+
+        def spread(lo, hi):
+            return rng.uniform(-1, 1, (4000, 7)) * 10.0 ** rng.uniform(
+                lo, hi, (4000, 7))
+
+        ab, aa = spread(-10, -6), abs(spread(-6, 0))
+        gamma = rng.integers(-3, 4, (4000, 1)) / 2
+        bb = aa - gamma * ab - spread(-12, -5)
+        for with_ratio in (True, False):
+            revival._gates(aa, bb, ab, abs(spread(-10, -6)), abs(ab),
+                           with_ratio)
+        assert refereed == [(4000,), (4000,)]
+
+
 class TestGateTable:
     """A decomposition's first certification builds the gates of all its
     pairs at once, when n^2 m <= _TABLE_MAX_ENTRIES; past that guard, and
@@ -177,14 +307,14 @@ class TestGateTable:
         if rows is None:
             return
         for a, b in itertools.permutations(range(D.n), 2):
-            flags, ratio, signs = _gates(*_pair_entries(D, a, b))
+            flags, ratio, signs = revival._gates(*_pair_entries(D, a, b))
             i = a * D.n + b
             assert rows.flags[i] == int(flags), (label, a, b)
             assert rows.ratio[i].hex() == float(ratio).hex(), (label, a, b)
             assert rows.signs[i * D.m:(i + 1) * D.m].tolist() \
                 == signs.tolist(), (label, a, b)
 
-    def test_atlas_paths_agree(self):
+    def test_atlas_paths_agree(self, refereed):
         import networkx as nx
         count = 0
         for i, g in enumerate(nx.graph_atlas_g()):
@@ -194,8 +324,10 @@ class TestGateTable:
                     decompose(Graph.from_edges(n, list(g.edges()))), i)
                 count += 1
         assert count == 995  # every connected graph on 2..7 vertices
+        # each table, then each ordered pair as a batch of one
+        assert refereed.count(()) == len(refereed) - count
 
-    def test_random_graphs_paths_agree(self):
+    def test_random_graphs_paths_agree(self, refereed):
         import networkx as nx
         crossed = 0
         for n in (8, 13, 20, 21, 30, 40, 41):
@@ -206,6 +338,7 @@ class TestGateTable:
             self.assert_paths_agree(D, n)
         # every spectrum is simple, so n^3 <= 2^13 fails from n = 21 on
         assert crossed == 4
+        assert [x for x in refereed if x] == [(n, n) for n in (8, 13, 20)]
 
     def test_built_on_first_call_and_compact(self, monkeypatch):
         D = decompose(build_path(7))
@@ -250,13 +383,13 @@ class TestGateTable:
 
     def test_exact_gamma_skips_the_ratio(self, monkeypatch):
         calls = []
-        real = revival._gamma_ratio
+        real = revival._first_ratio
 
         def counting(*args):
             calls.append(np.broadcast_shapes(*(x.shape for x in args[:3])))
             return real(*args)
 
-        monkeypatch.setattr(revival, "_gamma_ratio", counting)
+        monkeypatch.setattr(revival, "_first_ratio", counting)
         D = stellar_decompose(3, 2, 6)
         assert certify_fr(D, 0, 1).gamma == Fraction(-3, 2)
         assert certify_fr(D, 1, 0).gamma == Fraction(3, 2)
