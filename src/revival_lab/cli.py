@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -279,12 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subset", help="detect subset state transfer")
     common(p, time=True)
-    # argparse converts a string default only when subset runs, so a bad
-    # REVIVAL_LAB_TOL is a usage error there and harmless elsewhere
+    # no default: main reads REVIVAL_LAB_TOL each time subset runs, so one
+    # parser serves every call and a bad value is a usage error of subset
     p.add_argument("--tol", type=float,
-                   default=os.environ.get("REVIVAL_LAB_TOL",
-                                          str(transfer.DEFAULT_TRANSFER_TOL)),
                    help="transfer residual threshold (env REVIVAL_LAB_TOL)")
+    p.set_defaults(usage_error=p.error)
     p.add_argument("--s", required=True, help="source subset, e.g. 0,3")
     p.add_argument("--t", required=True, help="target subset, e.g. 2,5")
 
@@ -304,9 +304,22 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.command == "subset" and args.tol is None:
+        text = os.environ.get("REVIVAL_LAB_TOL",
+                              str(transfer.DEFAULT_TRANSFER_TOL))
+        try:
+            args.tol = float(text)
+        except ValueError:
+            # the message argparse gives for a bad string default
+            args.usage_error(f"argument --tol: invalid float value: {text!r}")
     out = out or sys.stdout
     if getattr(args, "tol", 1.0) <= 0:
         print("error: tolerance must be positive", file=sys.stderr)

@@ -422,37 +422,45 @@ def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
     upper Hessenberg form by similarity and det(tI - A) mod p read from the
     Hessenberg recurrence (Cohen, ch. 2). The residues are combined by the
     Chinese remainder theorem into symmetric residues until the product of
-    the primes exceeds 2B, where B = max_k C(n, k) R**k and R is the
-    largest absolute row sum. R bounds every eigenvalue, so |c_{n-k}|, a
-    k-th elementary symmetric function of them, is at most C(n, k) R**k
-    <= B. The symmetric residue is then the coefficient itself: the result
-    is exact, not probabilistic. Cost: O(n**3) int64 work per prime, and
-    B <= (1 + R)**n, so about n * log2(1 + R) / 27 primes of 27 bits at
-    n = 200.
+    the primes exceeds 2 C(n, k) (F/n)**(k/2) for every k, where F is the
+    sum of the squared entries. |c_{n-k}| is the k-th elementary symmetric
+    function of the eigenvalues, so it is at most C(n, k) mean|lambda|**k
+    by Maclaurin's inequality, and mean|lambda|**2 <= F/n by Schur's. The
+    symmetric residue is then the coefficient itself: the result is exact,
+    not probabilistic. Cost: O(n**3) int64 work per prime, and the bound is
+    at most (1 + sqrt(F/n))**n, so about n * log2(1 + sqrt(F/n)) / 27
+    primes of 27 bits at n = 200. As F <= n R**2, R the largest absolute
+    row sum, that is never more than the n * log2(1 + R) / 27 primes of the
+    row-sum bound C(n, k) R**k.
     """
     n = len(A)
     if n == 0:
         return [1]
-    entries = np.array([[int(x) for x in row] for row in A], dtype=object)
+    try:
+        entries = np.array(A, dtype=np.int64)
+    except OverflowError:
+        # entries past int64 are reduced as Python ints modulo each prime
+        entries = np.array([[int(x) for x in row] for row in A], dtype=object)
     if entries.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    R = int(abs(entries).sum(axis=1).max())
-    bound = max(math.comb(n, k) * R**k for k in range(n + 1))
+    F = sum(x * x for x in entries[entries != 0].tolist())
+    # modulus > 2 C(n, k) (F/n)**(k/2) exactly when modulus**2 exceeds the
+    # floor of 4 C(n, k)**2 F**k / n**k, since modulus**2 is an integer
+    need = max(4 * math.comb(n, k) ** 2 * F**k // n**k for k in range(n + 1))
     # n * p**2 + p < 2**63 for every p < 2**bits
     bits = (62 - n.bit_length()) // 2
     coeffs, modulus = [0] * (n + 1), 1
     primes = (p for block in itertools.count()
               for p in _primes_below(bits, block))
     for p in primes:
-        # reduce the Python ints first: entries may not fit in an int64
-        H = (entries % p).astype(np.int64)
+        H = (entries % p).astype(np.int64, copy=False)
         residues = _charpoly_mod(H, p).tolist()
         # Garner step: lift coeffs mod `modulus` to coeffs mod modulus * p
         inv = pow(modulus % p, -1, p)
         coeffs = [c + modulus * ((r - c) * inv % p)
                   for c, r in zip(coeffs, residues)]
         modulus *= p
-        if modulus > 2 * bound:
+        if modulus * modulus > need:
             break
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]

@@ -1,7 +1,11 @@
+import argparse
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -285,3 +289,40 @@ def test_tolerance_is_a_subset_option(argv, capsys):
         run_cli([*argv, "--tol", "1e-6"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_parser_is_built_once(monkeypatch):
+    run_cli(["stellar", "--stellar", "3,2,6"])
+    built = _count_parsers(monkeypatch)
+    assert run_cli(["stellar", "--stellar", "3,2,6"])[0] == 0
+    assert run_cli(["analyze", "--stellar", "3,2,6"])[0] == 0
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counted(self, *args, **kwargs):\n"
+              "    built.append(1)\n"
+              "    init(self, *args, **kwargs)\n"
+              "argparse.ArgumentParser.__init__ = counted\n"
+              "import revival_lab.cli\n"
+              "print(len(built))\n")
+    src = str(Path(revival_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"

@@ -423,6 +423,68 @@ class TestCharpolyInt:
         with pytest.raises(ValueError):
             charpoly_int([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 1000, -999, 10**6])
+    def test_tight_bounds(self, d):
+        """Maclaurin's and Schur's inequalities hold with equality here, so
+        the product of the primes barely passes the coefficient bound."""
+        for n in range(1, 31):
+            scalar = [[d * (i == j) for j in range(n)] for i in range(n)]
+            expected = [1]
+            for _ in range(n):
+                expected = poly_mul(expected, [-d, 1])
+            assert charpoly_int(scalar) == expected, n
+            # d times the cyclic shift: eigenvalues d * (n-th roots of 1)
+            shift = [[d * (j == (i + 1) % n) for j in range(n)]
+                     for i in range(n)]
+            assert charpoly_int(shift) == [-d**n] + [0] * (n - 1) + [1], n
+
+    @staticmethod
+    def primes_used(monkeypatch, A):
+        calls = []
+        kernel = exact._charpoly_mod
+
+        def counted(H, p):
+            calls.append(p)
+            return kernel(H, p)
+
+        monkeypatch.setattr(exact, "_charpoly_mod", counted)
+        coeffs = charpoly_int(A)
+        monkeypatch.setattr(exact, "_charpoly_mod", kernel)
+        return coeffs, len(calls)
+
+    def test_fused_stars_take_one_prime(self, monkeypatch):
+        """Every X(a, k, c) on 14..20 vertices, the range stellar-family
+        draws from, takes one prime, but for the six with n = 20 and
+        k >= 14: their 4 C(n, k)**2 (F/n)**k reaches 2**57, past the square
+        of one 28-bit prime. The row-sum bound asks for two or three."""
+        for n in range(14, 21):
+            for a in range(1, n - 3):
+                for k in range(1, n - 2 - a):
+                    c = n - 2 - a - k
+                    A = adjacency(build_stellar(a, k, c))
+                    coeffs, primes = self.primes_used(monkeypatch, A)
+                    assert primes == 1 + (n == 20 and k >= 14), (a, k, c)
+                    assert coeffs == char_poly_suite(a, k, c)["phi"]
+
+    def test_dense_graph_takes_half_the_primes(self, monkeypatch):
+        """G(50, 0.3) needs at most half the primes that the row-sum bound
+        max_k C(n, k) R**k asks for."""
+        rng = np.random.default_rng(17)
+        M = np.triu(rng.random((50, 50)) < 0.3, 1).astype(int)
+        A = (M + M.T).tolist()
+        coeffs, primes = self.primes_used(monkeypatch, A)
+        R = max(sum(row) for row in A)
+        bound = max(math.comb(50, k) * R**k for k in range(51))
+        bits = (62 - (50).bit_length()) // 2
+        row_sum_primes, modulus = [], 1
+        for q in exact._primes_below(bits, 0):
+            row_sum_primes.append(q)
+            modulus *= q
+            if modulus > 2 * bound:
+                break
+        assert 2 * primes <= len(row_sum_primes)
+        assert coeffs == per_prime_charpoly(A, row_sum_primes)
+
     def test_kernel_matches_per_prime_reference(self):
         """Seeded random matrices, n = 1..40: the kernel gives the residues
         of the pure-Python reference modulo each of three primes, and
