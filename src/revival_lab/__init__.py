@@ -1,30 +1,26 @@
-"""Certification of fractional revival, periodicity and subset state
-transfer in continuous quantum walks on unweighted graphs, with exact
-closed-form treatment of the fused-star family X(a, k, c).
+"""Certification of fractional revival and subset state transfer in
+continuous quantum walks on unweighted graphs, with exact closed-form
+treatment of the fused-star family X(a, k, c).
 """
 
 from .exact import (QuadraticValue, charpoly_int, fermat_two_squares,
                     is_prime, rationalize, square_free_part,
                     two_adic_valuation)
-from .graphs import (Graph, Partition, WeightedGraph, build_path,
-                     build_star, build_stellar, cartesian_product,
-                     graph_from_graph6, graph_from_json, graph_to_dot,
-                     graph_to_graph6, graph_to_json, induced_subgraph,
-                     is_equitable, stellar_cells, stellar_partition,
-                     symmetrized_quotient)
-from .spectral import (SpectralDecomposition, StellarExact, TransitionMatrix,
-                       char_poly_suite, decompose, stellar_decompose,
-                       transition_matrix, transition_rows)
-from .states import (StateMatrix, SupportGraph, average_state, is_periodic,
-                     subset_state, support_graph, support_graph_to_dot)
+from .graphs import (Graph, build_path, build_star, build_stellar,
+                     cartesian_product, graph_from_graph6, graph_from_json,
+                     graph_to_dot, graph_to_json, induced_subgraph,
+                     stellar_cells)
+from .spectral import (SpectralDecomposition, StellarExact, char_poly_suite,
+                       decompose, stellar_decompose, transition_rows)
+from .states import (StateMatrix, SupportGraph, subset_state, support_graph,
+                     support_graph_to_dot)
 from .revival import (FRObservation, RevivalCertificate, certify_fr,
                       verify_fr_at)
 from .stellar import (FamilyRecipe, StellarAnalysis, analyze,
-                      diophantine_check, double_star_tree, generate_family,
+                      diophantine_check, generate_family,
                       generate_polygamy_triple)
 from .transfer import (PolygamyReport, SubsetTransferReport,
-                       average_state_equality, detect_subset_transfer,
-                       induced_cospectrality, induced_transfer_check,
+                       detect_subset_transfer, induced_cospectrality,
                        polygamy_witness)
 
 __version__ = "0.1.0"

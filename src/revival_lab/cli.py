@@ -33,15 +33,20 @@ def parse_time(text: str) -> float:
     m = re.fullmatch(r"(\d+(?:/\d+)?)?\*?pi(?:/(.+))?", s)
     if not m:
         raise ValueError(f"cannot parse time expression {text!r}")
-    value = float(Fraction(m.group(1))) * math.pi if m.group(1) else math.pi
-    if m.group(2):
-        dm = re.fullmatch(r"(?:(\d+)\*?)?(?:sqrt\((\d+)\))?", m.group(2))
-        if not dm or (dm.group(1) is None and dm.group(2) is None):
-            raise ValueError(f"cannot parse time denominator in {text!r}")
-        if dm.group(1):
-            value /= int(dm.group(1))
-        if dm.group(2):
-            value /= math.sqrt(int(dm.group(2)))
+    try:
+        value = (float(Fraction(m.group(1))) * math.pi if m.group(1)
+                 else math.pi)
+        if m.group(2):
+            dm = re.fullmatch(r"(?:(\d+)\*?)?(?:sqrt\((\d+)\))?",
+                              m.group(2))
+            if not dm or (dm.group(1) is None and dm.group(2) is None):
+                raise ValueError(f"cannot parse time denominator in {text!r}")
+            if dm.group(1):
+                value /= int(dm.group(1))
+            if dm.group(2):
+                value /= math.sqrt(int(dm.group(2)))
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in time {text!r}") from None
     return value
 
 
@@ -158,6 +163,8 @@ def _family_line(triple: tuple[int, int, int]) -> dict:
 
 
 def cmd_family(args, out) -> int:
+    if args.count is not None and args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     triples: list[tuple[int, int, int]] = []
     if args.polygamy:
         for r in parse_range(args.polygamy):

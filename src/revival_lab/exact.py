@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -464,47 +464,3 @@ def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
             break
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
-
-
-def poly_mul(a: Iterable[int], b: Iterable[int]) -> list[int]:
-    a, b = list(a), list(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_text(coeffs: Sequence[int], var: str = "t") -> str:
-    """Render an ascending integer coefficient list as a readable polynomial."""
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(abs(c))
-        else:
-            power = var if e == 1 else f"{var}^{e}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-        sign = "-" if c < 0 else "+"
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        text += f" {sign} {body}"
-    return text

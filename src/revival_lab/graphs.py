@@ -1,4 +1,4 @@
-"""Simple undirected graphs, equitable partitions and quotients.
+"""Simple undirected graphs, their constructions and serialization.
 
 Graphs are immutable after construction; every operation returns a new
 value. Vertex indices run over [0, n).
@@ -7,8 +7,7 @@ value. Vertex indices run over [0, n).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,66 +56,6 @@ class Graph:
             cells[u * n + v] = cells[v * n + u] = 1.0
         return A
 
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered partition of [0, n) into disjoint nonempty cells."""
-
-    cells: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        cells = tuple(frozenset(c) for c in self.cells)
-        if any(not c for c in cells):
-            raise ValueError("empty cell")
-        all_vertices: list[int] = []
-        for c in cells:
-            all_vertices.extend(c)
-        if len(all_vertices) != len(set(all_vertices)):
-            raise ValueError("cells are not disjoint")
-        object.__setattr__(self, "cells", cells)
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.cells)
-
-    def covers(self, n: int) -> bool:
-        return set().union(*self.cells) == set(range(n))
-
-    @classmethod
-    def discrete(cls, n: int) -> "Partition":
-        return cls(tuple(frozenset({v}) for v in range(n)))
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Weighted graph given by a symmetric nonnegative matrix, zero diagonal."""
-
-    n: int
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        W = np.asarray(self.weights, dtype=float)
-        if W.shape != (self.n, self.n):
-            raise ValueError("weight matrix shape mismatch")
-        if not np.allclose(W, W.T):
-            raise ValueError("weight matrix must be symmetric")
-        if (W < 0).any():
-            raise ValueError("weights must be nonnegative")
-        if np.abs(np.diag(W)).max(initial=0.0) > 0:
-            raise ValueError("diagonal must be zero")
-        W = W.copy()
-        W.flags.writeable = False
-        object.__setattr__(self, "weights", W)
-
-    def adjacency(self) -> np.ndarray:
-        return np.array(self.weights)
-
 
 def build_star(leaves: int) -> Graph:
     """Star K_{1,leaves} with the center at index 0."""
@@ -155,16 +94,6 @@ def stellar_cells(a: int, k: int, c: int) -> tuple[range, range, range]:
             range(2 + a + k, 2 + a + k + c))
 
 
-def stellar_partition(a: int, k: int, c: int) -> Partition:
-    """The five-cell equitable partition, ordered a-cell, {0}, k-cell, {1}, c-cell.
-
-    With this cell order the symmetrized quotient is a weighted path.
-    """
-    a_cell, k_cell, c_cell = stellar_cells(a, k, c)
-    return Partition((frozenset(a_cell), frozenset({0}), frozenset(k_cell),
-                      frozenset({1}), frozenset(c_cell)))
-
-
 def cartesian_product(X: Graph, Y: Graph) -> Graph:
     """Cartesian product; vertex (x, y) maps to index x * Y.n + y."""
     n = Y.n
@@ -174,45 +103,6 @@ def cartesian_product(X: Graph, Y: Graph) -> Graph:
     for u, v in X.edges:
         edges += [(u * n + y, v * n + y) for y in range(n)]
     return Graph.from_edges(X.n * Y.n, edges)
-
-
-def is_equitable(X: Graph, P: Partition) -> tuple[bool, np.ndarray | None]:
-    """Check whether every vertex of cell j has the same number of neighbors
-    in cell l; on success also return the cell-count matrix.
-    """
-    if not P.covers(X.n):
-        raise ValueError("partition does not cover the vertex set")
-    k = len(P.cells)
-    cell_of = {}
-    for j, cell in enumerate(P.cells):
-        for v in cell:
-            cell_of[v] = j
-    counts = np.zeros((k, k), dtype=int)
-    for j, cell in enumerate(P.cells):
-        rows = []
-        for v in cell:
-            row = [0] * k
-            for w in X.neighbors(v):
-                row[cell_of[w]] += 1
-            rows.append(row)
-        if any(row != rows[0] for row in rows[1:]):
-            return False, None
-        counts[j] = rows[0]
-    return True, counts
-
-
-def symmetrized_quotient(X: Graph, P: Partition) -> WeightedGraph:
-    """Weighted graph on the cells with edge weight sqrt(c_jl * c_lj)."""
-    ok, counts = is_equitable(X, P)
-    if not ok:
-        raise ValueError("partition is not equitable")
-    assert counts is not None
-    k = len(P.cells)
-    W = np.zeros((k, k))
-    for j in range(k):
-        for l in range(j + 1, k):
-            W[j, l] = W[l, j] = math.sqrt(counts[j, l] * counts[l, j])
-    return WeightedGraph(k, W)
 
 
 def induced_subgraph(X: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -278,42 +168,15 @@ def graph_from_graph6(text: str) -> Graph:
             if bits[idx]:
                 edges.append((u, v))
             idx += 1
-    return Graph.from_edges(max(n, 1), edges)
+    return Graph.from_edges(n, edges)
 
 
-def graph_to_graph6(X: Graph) -> str:
-    if X.n > 62:
-        raise ValueError("encoding supports at most 62 vertices")
-    bits = []
-    A = X.adjacency()
-    for v in range(1, X.n):
-        bits += [int(A[u, v]) for u in range(v)]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(X.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[i:i + 6]:
-            val = (val << 1) | bit
-        chars.append(chr(val + 63))
-    return "".join(chars)
-
-
-def graph_to_dot(X: Graph | WeightedGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    if isinstance(X, Graph):
-        for v in range(X.n):
-            label = X.labels[v] if X.labels else str(v)
-            lines.append(f'  {v} [label="{label}"];')
-        for u, v in sorted(X.edges):
-            lines.append(f"  {u} -- {v};")
-    else:
-        for v in range(X.n):
-            lines.append(f'  {v} [label="{v}"];')
-        for u in range(X.n):
-            for v in range(u + 1, X.n):
-                w = X.weights[u, v]
-                if w:
-                    lines.append(f'  {u} -- {v} [label="{w:.6g}"];')
+def graph_to_dot(X: Graph) -> str:
+    lines = ["graph G {"]
+    for v in range(X.n):
+        label = X.labels[v] if X.labels else str(v)
+        lines.append(f'  {v} [label="{label}"];')
+    for u, v in sorted(X.edges):
+        lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines)

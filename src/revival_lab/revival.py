@@ -41,11 +41,6 @@ class FRObservation:
     def is_proper(self, tol: float = 1e-8, cross_tol: float = 1e-8) -> bool:
         return self.is_fr(tol) and self.cross_amplitude > cross_tol
 
-    def block_is_scalar(self, tol: float = 1e-8) -> bool:
-        B = self.block
-        return (abs(B[0, 0] - B[1, 1]) < tol and abs(B[0, 1]) < tol
-                and abs(B[1, 0]) < tol)
-
 
 @dataclass(frozen=True, init=False)
 class RevivalCertificate:

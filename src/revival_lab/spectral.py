@@ -1,4 +1,5 @@
-"""Spectral decompositions A = sum_r theta_r E_r and transition matrices.
+"""Spectral decompositions A = sum_r theta_r E_r and rows of the transition
+matrix U(t) = exp(itA).
 
 Arbitrary graphs get a numeric symmetric eigen-solve with gap-based
 eigenvalue grouping. Fused-star graphs get an exact-quadratic backing:
@@ -67,10 +68,6 @@ class StellarExact:
         minus = ((e11, -e01), (-e01, e00))
         return (plus, minus, ((zero, zero), (zero, zero)), minus, plus)
 
-    def block_as_fractions(self, r: int) -> list[list[Fraction]]:
-        return [[entry.as_fraction() for entry in row]
-                for row in self.pair_blocks[r]]
-
 
 @dataclass(frozen=True)
 class Quotient:
@@ -99,8 +96,7 @@ class SpectralDecomposition:
 
     Columns ``bounds[r]:bounds[r + 1]`` of ``vectors`` span the eigenspace of
     ``eigenvalues[r]``, so the projector is ``E_r = V_r V_r^T``. Consumers
-    read these factors; the dense projectors are built only on first access
-    to ``projectors``, at O(m n^2) memory.
+    read these factors, or rows of them; no dense n x n projector is built.
 
     ``factors`` holds ``vectors`` when they are known at construction. A
     quotient-backed decomposition (the fused stars, whose ``exact`` is set)
@@ -151,13 +147,6 @@ class SpectralDecomposition:
             raise ArithmeticError("unexpected eigenvalue multiplicities")
         return D.vectors
 
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Dense E_r = V_r V_r^T, built on first access and then kept."""
-        V, bounds = self.vectors, self.bounds
-        return tuple(V[:, lo:hi] @ V[:, lo:hi].T
-                     for lo, hi in zip(bounds, bounds[1:]))
-
     def on_quotient(self, rows: list[int] | slice) -> bool:
         """Whether the quotient answers queries on these rows."""
         q = self.quotient
@@ -196,19 +185,6 @@ def _lift(x: np.ndarray, sizes: tuple[int, ...] | None,
           axis: int) -> np.ndarray:
     """Cell values on ``axis`` repeated over the vertices of each cell."""
     return x if sizes is None else np.repeat(x, sizes, axis=axis)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """U(t) = exp(itA) evaluated through the spectral decomposition."""
-
-    t: float
-    entries: np.ndarray = field(repr=False)
-
-    @property
-    def unitarity_error(self) -> float:
-        U = self.entries
-        return float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
 
 
 def _group_eigenvalues(desc: np.ndarray,
@@ -353,14 +329,10 @@ def _transition_cells(D: SpectralDecomposition, rows: list[int] | slice,
     return parts[:k] + 1j * parts[k:], sizes
 
 
-def transition_matrix(D: SpectralDecomposition, t: float) -> TransitionMatrix:
-    """U(t) = sum_r exp(i t theta_r) E_r."""
-    return TransitionMatrix(float(t), transition_rows(D, slice(None), t))
-
-
 def _stellar_quotient(a: int, k: int, c: int) -> np.ndarray:
-    """B = Q^T A Q over ``stellar_partition(a, k, c)``: the path through the
-    cells a, {0}, k, {1}, c with weights sqrt(a), sqrt(k), sqrt(k), sqrt(c)."""
+    """B = Q^T A Q over the equitable partition of ``build_stellar(a, k, c)``
+    into the cells a, {0}, k, {1}, c, in that order: the path through the
+    cells with weights sqrt(a), sqrt(k), sqrt(k), sqrt(c)."""
     w = np.sqrt(np.array([a, k, k, c], dtype=float))
     return np.diag(w, 1) + np.diag(w, -1)
 
@@ -428,7 +400,6 @@ def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:
 
 
 __all__ = [
-    "SpectralDecomposition", "StellarExact", "TransitionMatrix",
-    "decompose", "transition_matrix", "transition_rows", "stellar_decompose",
-    "char_poly_suite",
+    "SpectralDecomposition", "StellarExact", "decompose", "transition_rows",
+    "stellar_decompose", "char_poly_suite",
 ]

@@ -1,4 +1,4 @@
-"""States, support graphs, average states, periodicity."""
+"""States and their support graphs over the distinct eigenvalues."""
 
 from __future__ import annotations
 
@@ -7,12 +7,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, transition_matrix
+from .spectral import SpectralDecomposition
 
 PSD_TOL = 1e-10
 # E_r rho E_s is in the support above this multiple of max |rho|
 SUPPORT_TOL = 1e-8
-PERIODIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -20,7 +19,6 @@ class StateMatrix:
     """Real symmetric PSD matrix representing an (unnormalized) state."""
 
     entries: np.ndarray = field(repr=False)
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         M = np.asarray(self.entries, dtype=float)
@@ -34,8 +32,6 @@ class StateMatrix:
                   else np.linalg.eigvalsh(M).min())
         if lowest < -PSD_TOL:
             raise ValueError("state matrix must be positive semidefinite")
-        if self.normalized and abs(np.trace(M) - 1.0) > PSD_TOL:
-            raise ValueError("normalized state must have trace 1")
         M = M.copy()
         M.flags.writeable = False
         object.__setattr__(self, "entries", M)
@@ -43,12 +39,6 @@ class StateMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def to_density(self) -> "StateMatrix":
-        tr = float(np.trace(self.entries))
-        if tr <= 0:
-            raise ValueError("cannot normalize a traceless state")
-        return StateMatrix(self.entries / tr, normalized=True)
 
 
 def subset_state(S: Iterable[int], n: int) -> StateMatrix:
@@ -63,14 +53,10 @@ def subset_state(S: Iterable[int], n: int) -> StateMatrix:
     return StateMatrix(np.diag(d))
 
 
-def _state_array(rho: StateMatrix | np.ndarray) -> np.ndarray:
-    return rho.entries if isinstance(rho, StateMatrix) else np.asarray(rho)
-
-
 def _support_mask(D: SpectralDecomposition,
                   rho: StateMatrix | np.ndarray) -> np.ndarray:
     """(m, m) booleans: [r, s] when E_r rho E_s is nonzero."""
-    M = _state_array(rho)
+    M = rho.entries if isinstance(rho, StateMatrix) else np.asarray(rho)
     if M.shape[0] != D.n:
         raise ValueError("dimension mismatch")
     threshold = SUPPORT_TOL * max(float(np.abs(M).max()), 1e-300)
@@ -98,41 +84,6 @@ class SupportGraph:
     loops: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
-    def components(self) -> list[set[int]]:
-        """Connected components over vertices that carry a loop or an edge."""
-        active = set(self.loops)
-        for r, s in self.edges:
-            active |= {r, s}
-        adj: dict[int, set[int]] = {v: set() for v in active}
-        for r, s in self.edges:
-            adj[r].add(s)
-            adj[s].add(r)
-        out, seen = [], set()
-        for v in sorted(active):
-            if v in seen:
-                continue
-            comp, stack = {v}, [v]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(comp)
-        return out
-
-    def isolated_loopless(self) -> set[int]:
-        active = set(self.loops)
-        for r, s in self.edges:
-            active |= {r, s}
-        return set(range(len(self.vertices))) - active
-
-    def is_complete_with_loops(self, comp: set[int]) -> bool:
-        if not comp <= self.loops:
-            return False
-        return all((min(r, s), max(r, s)) in self.edges
-                   for r in comp for s in comp if r < s)
-
 
 def support_graph(D: SpectralDecomposition,
                   rho: StateMatrix | np.ndarray) -> SupportGraph:
@@ -145,35 +96,12 @@ def support_graph(D: SpectralDecomposition,
                         frozenset(zip(r.tolist(), s.tolist())))
 
 
-def average_state(D: SpectralDecomposition,
-                  rho: StateMatrix | np.ndarray) -> np.ndarray:
-    """Time-averaged state: sum_r E_r rho E_r = V blockdiag(G_rr) V^T with
-    G = V^T rho V, in one O(n^3) pass."""
-    M = _state_array(rho)
-    V = D.vectors
-    cluster = np.repeat(np.arange(D.m), D.multiplicities)
-    G = V.T @ M @ V
-    G[cluster[:, None] != cluster[None, :]] = 0.0
-    return V @ G @ V.T
-
-
-def is_periodic(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                t: float) -> bool:
-    """True iff U(t) commutes with the state."""
-    M = _state_array(rho)
-    U = transition_matrix(D, t).entries
-    return bool(np.abs(U @ M - M @ U).max() < PERIODIC_TOL)
-
-
 def support_graph_to_dot(G: SupportGraph,
-                         labels: list[str] | None = None,
-                         colors: dict[int, str] | None = None,
-                         name: str = "support") -> str:
+                         colors: dict[int, str] | None = None) -> str:
     """DOT rendering with loops; eigenvalues as labels."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph support {"]
     for r, th in enumerate(G.vertices):
-        label = labels[r] if labels else f"{th:.6g}"
-        attrs = [f'label="{label}"']
+        attrs = [f'label="{th:.6g}"']
         if colors and r in colors:
             attrs += ["style=filled", f'fillcolor="{colors[r]}"']
         lines.append(f"  {r} [{', '.join(attrs)}];")

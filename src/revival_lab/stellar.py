@@ -15,7 +15,6 @@ from functools import cached_property
 
 from .exact import (QuadraticValue, fermat_two_squares, square_free_part,
                     two_adic_valuation)
-from .graphs import Graph
 
 POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
 # Steps of Pollard-Brent rho that may go into reducing sqrt(sigma) for
@@ -205,22 +204,7 @@ def generate_polygamy_triple(p: int, r: int) -> tuple[int, int, int]:
     return a, k, c
 
 
-def double_star_tree(a: int) -> tuple[Graph, float]:
-    """Two stars K_{1,a} with their centers 0 and 1 joined by an edge.
-
-    Returns the tree and the time 2*pi/sqrt(4a+1) at which the centers
-    admit proper fractional revival.
-    """
-    if a < 1:
-        raise ValueError("a must be positive")
-    edges = [(0, 1)]
-    edges += [(0, v) for v in range(2, a + 2)]
-    edges += [(1, v) for v in range(a + 2, 2 * a + 2)]
-    return Graph.from_edges(2 * a + 2, edges), 2 * math.pi / math.sqrt(4 * a + 1)
-
-
 __all__ = [
     "StellarAnalysis", "FamilyRecipe", "analyze", "diophantine_check",
-    "generate_family", "generate_polygamy_triple", "double_star_tree",
-    "POSITIVITY_RATIO",
+    "generate_family", "generate_polygamy_triple", "POSITIVITY_RATIO",
 ]

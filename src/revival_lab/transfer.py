@@ -2,8 +2,8 @@
 
 Subset state transfer means U(t) D_S U(-t) = D_T for 0/1 diagonal subset
 indicators. Detection measures the residual directly and also evaluates the
-eight structural zero blocks of U(t), the induced-subgraph cospectrality
-consequences, and the per-eigenvalue transfer refinement.
+eight structural zero blocks of U(t) and the induced-subgraph cospectrality
+consequences.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .exact import charpoly_int
 from .graphs import Graph, induced_subgraph
 from .revival import FRObservation, _fr_observation
 from .spectral import (SpectralDecomposition, _stellar_decomposition,
-                       transition_matrix, transition_rows)
-from .states import StateMatrix, _state_array, subset_state
+                       transition_rows)
+from .states import subset_state
 from .stellar import analyze
 
 DEFAULT_TRANSFER_TOL = 1e-8
@@ -125,44 +125,6 @@ def induced_cospectrality(X: Graph, S: set[int],
             charpoly_of(all_v - S) == charpoly_of(all_v - T))
 
 
-def average_state_equality(D: SpectralDecomposition,
-                           rho1: StateMatrix | np.ndarray,
-                           rho2: StateMatrix | np.ndarray) -> bool:
-    """True iff E_r rho1 E_r = E_r rho2 E_r for every projector. The
-    difference is compared as V_r G_rr V_r^T with G = V^T (rho1 - rho2) V."""
-    M1, M2 = _state_array(rho1), _state_array(rho2)
-    V, bounds = D.vectors, D.bounds
-    G = V.T @ (M1 - M2) @ V
-    return all(float(np.abs(V[:, lo:hi] @ G[lo:hi, lo:hi]
-                            @ V[:, lo:hi].T).max()) < DEFAULT_TRANSFER_TOL
-               for lo, hi in zip(bounds, bounds[1:]))
-
-
-def induced_transfer_check(D: SpectralDecomposition,
-                           rho1: StateMatrix | np.ndarray,
-                           rho2: StateMatrix | np.ndarray,
-                           t: float) -> tuple[tuple[bool, ...], bool]:
-    """Per-eigenvalue transfer: U(t) rho1 E_r rho1 U(-t) = rho2 E_r rho2.
-
-    With E_r = V_r V_r^T and symmetric states, the two sides are
-    W1_r W1_r^* and W2_r W2_r^T for W1 = U(t) rho1 V and W2 = rho2 V.
-    Also returns the composite check U(t) rho1^2 U(-t) = rho2^2, which must
-    hold whenever every per-eigenvalue check does.
-    """
-    M1, M2 = _state_array(rho1), _state_array(rho2)
-    U = transition_matrix(D, t).entries
-    V, bounds = D.vectors, D.bounds
-    W1, W2 = U @ M1 @ V, M2 @ V
-    tol = DEFAULT_TRANSFER_TOL
-    per_r = tuple(
-        bool(float(np.abs(W1[:, lo:hi] @ W1[:, lo:hi].conj().T
-                          - W2[:, lo:hi] @ W2[:, lo:hi].T).max()) < tol)
-        for lo, hi in zip(bounds, bounds[1:]))
-    composite = bool(
-        float(np.abs(U @ (M1 @ M1) @ U.conj().T - M2 @ M2).max()) < tol)
-    return per_r, composite
-
-
 @dataclass(frozen=True)
 class PolygamyReport:
     """Proper FR on two overlapping pairs of K2 x X(a, k, c).
@@ -240,6 +202,5 @@ def polygamy_witness(a: int, k: int, c: int, ell: int) -> PolygamyReport:
 
 __all__ = [
     "SubsetTransferReport", "PolygamyReport", "ZERO_BLOCKS",
-    "detect_subset_transfer", "induced_cospectrality",
-    "average_state_equality", "induced_transfer_check", "polygamy_witness",
+    "detect_subset_transfer", "induced_cospectrality", "polygamy_witness",
 ]

@@ -1,5 +1,6 @@
 import pytest
 
+from referees import projectors
 from revival_lab.graphs import Graph, build_path
 from revival_lab.spectral import decompose, stellar_decompose
 
@@ -25,7 +26,7 @@ def parity_cases():
     connected graph on at most 6 vertices, the paths P2..P40, the prisms
     C_m x K2 for m = 3..12 (which have repeated eigenvalues) and the
     exact-quadratic X(a, k, c) of small triples. The reference projectors
-    E_r = V_r V_r^T are built one by one from the decomposition's factors.
+    E_r = V_r V_r^T are the referee's, built from the decomposition's factors.
     """
     import networkx as nx
     named = []
@@ -38,12 +39,7 @@ def parity_cases():
     named += [(f"prism {m}", decompose(_prism(m))) for m in range(3, 13)]
     named += [(f"X{t}", stellar_decompose(*t))
               for t in [(1, 1, 1), (3, 2, 6), (1, 4, 1), (2, 6, 11), (4, 3, 5)]]
-    cases = []
-    for name, D in named:
-        V = D.vectors
-        E = [V[:, lo:hi] @ V[:, lo:hi].T for lo, hi in zip(D.bounds, D.bounds[1:])]
-        cases.append((name, D, E, _pairs(D.n)))
-    return cases
+    return [(name, D, projectors(D), _pairs(D.n)) for name, D in named]
 
 
 @pytest.fixture

@@ -1,0 +1,170 @@
+"""Referees for the tests: plain dense forms of quantities that the package
+computes in factored form or not at all.
+
+Each one builds the whole n x n matrix it needs (U(t), the projectors E_r)
+and states its check the way the theory does, so a test can compare the
+package's factored answers against it. The tolerances are those that the
+acceptance criteria were written with.
+"""
+
+from __future__ import annotations
+
+import math
+
+import networkx as nx
+import numpy as np
+
+from revival_lab.graphs import Graph, stellar_cells
+from revival_lab.spectral import SpectralDecomposition, transition_rows
+from revival_lab.states import StateMatrix, SupportGraph
+
+
+def _array(rho: StateMatrix | np.ndarray) -> np.ndarray:
+    return rho.entries if isinstance(rho, StateMatrix) else np.asarray(rho)
+
+
+# --- the walk and the projectors -------------------------------------------
+
+def transition_matrix(D: SpectralDecomposition, t: float) -> np.ndarray:
+    """U(t) = exp(itA), every row."""
+    return transition_rows(D, slice(None), t)
+
+
+def unitarity_error(U: np.ndarray) -> float:
+    """max |U U^* - I|."""
+    return float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
+
+
+def projectors(D: SpectralDecomposition) -> list[np.ndarray]:
+    """The dense E_r = V_r V_r^T, one per distinct eigenvalue."""
+    V = D.vectors
+    return [V[:, lo:hi] @ V[:, lo:hi].T
+            for lo, hi in zip(D.bounds, D.bounds[1:])]
+
+
+def is_periodic(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
+                t: float, tol: float = 1e-8) -> bool:
+    """Whether U(t) commutes with the state rho."""
+    M, U = _array(rho), transition_matrix(D, t)
+    return bool(np.abs(U @ M - M @ U).max() < tol)
+
+
+def average_state_equality(D: SpectralDecomposition,
+                           rho1: StateMatrix | np.ndarray,
+                           rho2: StateMatrix | np.ndarray,
+                           tol: float = 1e-8) -> bool:
+    """Whether E_r rho1 E_r = E_r rho2 E_r for every projector."""
+    M1, M2 = _array(rho1), _array(rho2)
+    return all(float(np.abs(P @ M1 @ P - P @ M2 @ P).max()) < tol
+               for P in projectors(D))
+
+
+def induced_transfer_check(D: SpectralDecomposition,
+                           rho1: StateMatrix | np.ndarray,
+                           rho2: StateMatrix | np.ndarray, t: float,
+                           tol: float = 1e-8) -> tuple[tuple[bool, ...], bool]:
+    """Per eigenvalue, whether U(t) rho1 E_r rho1 U(-t) = rho2 E_r rho2;
+    and the composite U(t) rho1^2 U(-t) = rho2^2, which holds whenever
+    every per-eigenvalue check does."""
+    M1, M2 = _array(rho1), _array(rho2)
+    U = transition_matrix(D, t)
+
+    def moves(X1: np.ndarray, X2: np.ndarray) -> bool:
+        return bool(float(np.abs(U @ X1 @ U.conj().T - X2).max()) < tol)
+
+    per_r = tuple(moves(M1 @ P @ M1, M2 @ P @ M2) for P in projectors(D))
+    return per_r, moves(M1 @ M1, M2 @ M2)
+
+
+# --- support graphs ----------------------------------------------------------
+
+def _active(G: SupportGraph) -> set[int]:
+    return set(G.loops).union(*G.edges)
+
+
+def components(G: SupportGraph) -> list[set[int]]:
+    """Connected components over the vertices that carry a loop or an edge."""
+    g = nx.Graph(list(G.edges))
+    g.add_nodes_from(_active(G))
+    return [set(c) for c in nx.connected_components(g)]
+
+
+def isolated_loopless(G: SupportGraph) -> set[int]:
+    return set(range(len(G.vertices))) - _active(G)
+
+
+def is_complete_with_loops(G: SupportGraph, comp: set[int]) -> bool:
+    return comp <= G.loops and all(
+        (r, s) in G.edges for r in comp for s in comp if r < s)
+
+
+# --- equitable partitions ----------------------------------------------------
+
+def stellar_partition(a: int, k: int, c: int) -> list[set[int]]:
+    """The cells a, {0}, k, {1}, c of build_stellar(a, k, c): in this order
+    the symmetrized quotient is a weighted path."""
+    a_cell, k_cell, c_cell = stellar_cells(a, k, c)
+    return [set(a_cell), {0}, set(k_cell), {1}, set(c_cell)]
+
+
+def is_equitable(X: Graph,
+                 cells: list[set[int]]) -> tuple[bool, np.ndarray | None]:
+    """Whether every vertex of cell j has the same number of neighbours in
+    cell l, for all j and l; on success also that count matrix."""
+    A = X.adjacency()
+    counts = np.zeros((len(cells), len(cells)), dtype=int)
+    for j, cj in enumerate(cells):
+        for l, cl in enumerate(cells):
+            per_vertex = A[np.ix_(sorted(cj), sorted(cl))].sum(axis=1)
+            if (per_vertex != per_vertex[0]).any():
+                return False, None
+            counts[j, l] = per_vertex[0]
+    return True, counts
+
+
+def symmetrized_quotient(X: Graph, cells: list[set[int]]) -> np.ndarray:
+    """B with B[j, l] = sqrt(c_jl c_lj) over an equitable partition."""
+    ok, counts = is_equitable(X, cells)
+    if not ok:
+        raise ValueError("partition is not equitable")
+    return np.sqrt(counts * counts.T)
+
+
+# --- named graphs, observations and polynomials -----------------------------
+
+def double_star_tree(a: int) -> tuple[Graph, float]:
+    """Two stars K_{1,a} with their centers 0 and 1 joined by an edge, and
+    the time 2 pi/sqrt(4a + 1) of proper FR on the centers."""
+    edges = [(0, 1)]
+    edges += [(0, v) for v in range(2, a + 2)]
+    edges += [(1, v) for v in range(a + 2, 2 * a + 2)]
+    return Graph.from_edges(2 * a + 2, edges), 2 * math.pi / math.sqrt(4 * a + 1)
+
+
+def block_is_scalar(obs, tol: float = 1e-8) -> bool:
+    """Whether an observation's 2x2 block on the pair is a multiple of I."""
+    B = obs.block
+    return (abs(B[0, 0] - B[1, 1]) < tol and abs(B[0, 1]) < tol
+            and abs(B[1, 0]) < tol)
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b as ascending coefficients, trailing zeros dropped (at least
+    one coefficient kept)."""
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out

@@ -36,6 +36,17 @@ class TestParseTime:
             parse_time("pi/elephant")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--stellar", "3,2,6", "--time", "pi/0"],
+    ["analyze", "--stellar", "3,2,6", "--time", "pi/sqrt(0)"],
+    ["analyze", "--stellar", "3,2,6", "--time", "1/0*pi"],
+    ["subset", "--stellar", "3,2,6", "--s", "0", "--t", "1", "--time", "pi/0"]])
+def test_time_dividing_by_zero_exit_two(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert "division by zero" in capsys.readouterr().err
+
+
 def test_parse_helpers():
     assert parse_vertex_set("0,3,5") == {0, 3, 5}
     assert parse_triple("3,2,6") == (3, 2, 6)
@@ -167,6 +178,12 @@ class TestFamilyCommand:
                               "--count", "1"])
         assert len(text.splitlines()) == 1
 
+    def test_negative_count_exit_two(self, capsys):
+        code, text = run_cli(["family", "--p", "13", "--polygamy", "1..3",
+                              "--count", "-1"])
+        assert code == 2 and text == ""
+        assert "--count" in capsys.readouterr().err
+
 
 class TestProductCommand:
     def test_polygamy_witness(self):
@@ -230,6 +247,14 @@ class TestExportCommand:
         code, text = run_cli(["export", "--stellar", "1,1,1",
                               "--format", "dot"])
         assert code == 0 and text.startswith("graph")
+
+    @pytest.mark.parametrize("content", ["?", '{"n": 0, "edges": []}'])
+    def test_graph_without_vertices_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "empty-graph"
+        path.write_text(content)
+        code, text = run_cli(["export", "--graph", str(path)])
+        assert code == 2 and text == ""
+        assert "at least one vertex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "stellar"])

@@ -1,15 +1,23 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from revival_lab.graphs import (Graph, Partition, WeightedGraph, build_path,
-                                build_star, build_stellar, cartesian_product,
-                                graph_from_graph6, graph_from_json,
-                                graph_to_dot, graph_to_graph6, graph_to_json,
-                                induced_subgraph, is_equitable, stellar_cells,
-                                stellar_partition, symmetrized_quotient)
+from referees import is_equitable, stellar_partition, symmetrized_quotient
+from revival_lab.graphs import (Graph, build_path, build_star, build_stellar,
+                                cartesian_product, graph_from_graph6,
+                                graph_from_json, graph_to_dot, graph_to_json,
+                                induced_subgraph, stellar_cells)
+
+
+def degree(X: Graph, v: int) -> int:
+    return int(X.adjacency()[v].sum())
+
+
+def discrete(n: int) -> list[set[int]]:
+    return [{v} for v in range(n)]
 
 
 class TestGraphInvariants:
@@ -34,7 +42,7 @@ class TestBuildStar:
 
     def test_degree(self):
         X = build_star(3)
-        assert X.n == 4 and X.degree(0) == 3
+        assert X.n == 4 and degree(X, 0) == 3
 
     def test_rank_two_adjacency(self):
         # star adjacency has rank 2 regardless of leaf count
@@ -63,9 +71,10 @@ class TestBuildStellar:
     def test_3_2_6(self):
         X = build_stellar(3, 2, 6)
         assert X.n == 13
-        assert X.degree(0) == 5 and X.degree(1) == 8
+        assert degree(X, 0) == 5 and degree(X, 1) == 8
         assert (1, 0) not in X.edges and (0, 1) not in X.edges
-        assert len(X.neighbors(0) & X.neighbors(1)) == 2
+        A = X.adjacency()
+        assert (A @ A)[0, 1] == 2  # common neighbours of the centers
 
     def test_1_1_1_char_poly(self):
         A = build_stellar(1, 1, 1).adjacency()
@@ -74,11 +83,11 @@ class TestBuildStellar:
 
     def test_1_4_1_degrees(self):
         X = build_stellar(1, 4, 1)
-        assert X.n == 8 and X.degree(0) == X.degree(1) == 5
+        assert X.n == 8 and degree(X, 0) == degree(X, 1) == 5
 
     def test_leaf_count_and_common_neighbors(self):
         X = build_stellar(4, 3, 5)
-        leaves = [v for v in range(X.n) if X.degree(v) == 1]
+        leaves = [v for v in range(X.n) if degree(X, v) == 1]
         assert len(leaves) == 9
         A = X.adjacency()
         assert (A @ A)[0, 1] == 3
@@ -93,7 +102,7 @@ class TestCartesianProduct:
         K2 = build_path(2)
         Q2 = cartesian_product(K2, K2)
         assert Q2.n == 4 and len(Q2.edges) == 4
-        assert all(Q2.degree(v) == 2 for v in range(4))
+        assert all(degree(Q2, v) == 2 for v in range(4))
 
     def test_p2_p3_ladder(self):
         Z = cartesian_product(build_path(2), build_path(3))
@@ -102,7 +111,7 @@ class TestCartesianProduct:
     def test_big_product_degree(self):
         Z = cartesian_product(build_path(2), build_stellar(16, 36, 37))
         assert Z.n == 182
-        assert Z.degree(0) == 1 + 16 + 36
+        assert degree(Z, 0) == 1 + 16 + 36
 
     @given(st.integers(2, 5), st.integers(2, 5), st.randoms())
     def test_degree_law(self, m, n, rnd):
@@ -112,7 +121,7 @@ class TestCartesianProduct:
         for _ in range(5):
             x = rnd.randrange(X.n)
             y = rnd.randrange(Y.n)
-            assert Z.degree(x * Y.n + y) == X.degree(x) + Y.degree(y)
+            assert degree(Z, x * Y.n + y) == degree(X, x) + degree(Y, y)
 
 
 class TestEquitable:
@@ -127,17 +136,12 @@ class TestEquitable:
 
     def test_discrete_always_equitable(self):
         X = build_stellar(2, 2, 2)
-        ok, counts = is_equitable(X, Partition.discrete(X.n))
+        ok, counts = is_equitable(X, discrete(X.n))
         assert ok and np.array_equal(counts, X.adjacency())
 
     def test_p3_unbalanced_cells(self):
-        ok, _ = is_equitable(build_path(3),
-                             Partition((frozenset({0, 1}), frozenset({2}))))
+        ok, _ = is_equitable(build_path(3), [{0, 1}, {2}])
         assert not ok
-
-    def test_malformed_partition(self):
-        with pytest.raises(ValueError):
-            is_equitable(build_path(3), Partition((frozenset({0, 1}),)))
 
 
 class TestSymmetrizedQuotient:
@@ -146,31 +150,26 @@ class TestSymmetrizedQuotient:
         Q = symmetrized_quotient(build_stellar(a, k, c),
                                  stellar_partition(a, k, c))
         expected = [math.sqrt(a), math.sqrt(k), math.sqrt(k), math.sqrt(c)]
-        got = [Q.weights[i, i + 1] for i in range(4)]
+        got = [Q[i, i + 1] for i in range(4)]
         assert got == pytest.approx(expected)
 
     def test_1_4_1_weights(self):
         Q = symmetrized_quotient(build_stellar(1, 4, 1),
                                  stellar_partition(1, 4, 1))
-        assert [Q.weights[i, i + 1] for i in range(4)] == pytest.approx(
+        assert [Q[i, i + 1] for i in range(4)] == pytest.approx(
             [1, 2, 2, 1])
 
     def test_discrete_partition_recovers_graph(self):
         X = build_star(3)
-        Q = symmetrized_quotient(X, Partition.discrete(X.n))
-        assert np.array_equal(Q.weights, X.adjacency())
-
-    def test_non_equitable_rejected(self):
-        with pytest.raises(ValueError):
-            symmetrized_quotient(build_path(3),
-                                 Partition((frozenset({0, 1}), frozenset({2}))))
+        Q = symmetrized_quotient(X, discrete(X.n))
+        assert np.array_equal(Q, X.adjacency())
 
     def test_quotient_spectrum_embeds(self):
         # quotient eigenvalues are a subset of the graph's
         a, k, c = 2, 3, 5
         X = build_stellar(a, k, c)
         Q = symmetrized_quotient(X, stellar_partition(a, k, c))
-        qvals = np.linalg.eigvalsh(Q.weights)
+        qvals = np.linalg.eigvalsh(Q)
         gvals = np.linalg.eigvalsh(X.adjacency())
         for qv in qvals:
             assert np.abs(gvals - qv).min() < 1e-9
@@ -203,9 +202,13 @@ class TestSerialization:
         assert Y.n == X.n and Y.edges == X.edges
 
     def test_graph6_round_trip(self):
-        X = build_stellar(3, 2, 6)
-        Y = graph_from_graph6(graph_to_graph6(X))
-        assert Y.n == X.n and Y.edges == X.edges
+        """Decode what networkx encodes; n >= 63 takes the 4-byte size."""
+        for n in (1, 7, 62, 63, 100):
+            g = nx.empty_graph(n)  # nodes 0..n-1 in order
+            g.add_edges_from(nx.gnp_random_graph(n, 0.3, seed=n).edges())
+            X = graph_from_graph6(nx.to_graph6_bytes(g, header=False).decode())
+            assert X.n == n, n
+            assert X.edges == {tuple(sorted(e)) for e in g.edges()}, n
 
     def test_graph6_known_string(self):
         # "D?{" decodes to a 5-vertex graph; spot-check via round trip
@@ -221,15 +224,6 @@ class TestSerialization:
     def test_dot_output(self):
         text = graph_to_dot(build_path(2))
         assert "0 -- 1;" in text
-        W = WeightedGraph(2, np.array([[0.0, 1.5], [1.5, 0.0]]))
-        assert "1.5" in graph_to_dot(W)
-
-
-def test_weighted_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        WeightedGraph(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_stellar_cells_cover():

@@ -9,14 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revival_lab import transfer
+from referees import (poly_sub, projectors, stellar_partition,
+                      symmetrized_quotient, transition_matrix,
+                      unitarity_error)
 from revival_lab.exact import charpoly_int
 from revival_lab.graphs import Graph, build_path, build_star, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
-                                  stellar_decompose, transition_matrix,
-                                  transition_rows)
-from revival_lab.states import average_state, subset_state, support_graph
+                                  stellar_decompose, transition_rows)
 from revival_lab.stellar import analyze
 from revival_lab.transfer import polygamy_witness
 
@@ -26,21 +26,22 @@ class TestDecompose:
         D = decompose(build_path(2))
         assert D.eigenvalues == pytest.approx([1.0, -1.0])
         half = np.full((2, 2), 0.5)
-        assert np.allclose(D.projectors[0], half, atol=1e-12)
+        assert np.allclose(projectors(D)[0], half, atol=1e-12)
 
     def test_resolution_and_idempotence(self):
         D = decompose(build_stellar(3, 2, 6))
-        total = sum(D.projectors)
+        total = sum(projectors(D))
         assert np.abs(total - np.eye(D.n)).max() < 1e-9
-        for E in D.projectors:
+        for E in projectors(D):
             assert np.abs(E @ E - E).max() < 1e-9
 
     def test_orthogonality_and_reconstruction(self):
         X = build_stellar(2, 3, 4)
         D = decompose(X)
+        E = projectors(D)
         for r in range(D.m):
             for s in range(r + 1, D.m):
-                assert np.abs(D.projectors[r] @ D.projectors[s]).max() < 1e-9
+                assert np.abs(E[r] @ E[s]).max() < 1e-9
         assert np.abs(D.adjacency() - X.adjacency()).max() < 1e-8
 
     def test_multiplicities_sum(self):
@@ -75,19 +76,19 @@ class TestDecompose:
 class TestTransitionMatrix:
     def test_k2_pst_at_half_pi(self):
         D = decompose(build_path(2))
-        U = transition_matrix(D, math.pi / 2).entries
+        U = transition_matrix(D, math.pi / 2)
         expected = 1j * np.array([[0, 1], [1, 0]])
         assert np.abs(U - expected).max() < 1e-12
 
     def test_unitarity(self):
         D = decompose(build_stellar(3, 2, 6))
-        assert transition_matrix(D, 1.7).unitarity_error < 1e-9
+        assert unitarity_error(transition_matrix(D, 1.7)) < 1e-9
 
     def test_group_law(self):
         D = decompose(build_stellar(2, 6, 11))
-        Us = transition_matrix(D, 0.3).entries
-        Ut = transition_matrix(D, 1.1).entries
-        Ust = transition_matrix(D, 1.4).entries
+        Us = transition_matrix(D, 0.3)
+        Ut = transition_matrix(D, 1.1)
+        Ust = transition_matrix(D, 1.4)
         assert np.abs(Us @ Ut - Ust).max() < 1e-8
 
     def test_rejects_nonfinite_time(self):
@@ -102,10 +103,12 @@ class TestStellarDecompose:
         assert D.exact is not None and decompose(build_path(2)).exact is None
         assert D.eigenvalues == pytest.approx([3, 2, 0, -2, -3])
         # blocks on the centers, exactly
-        b_theta3 = D.exact.block_as_fractions(0)
+        b_theta3 = [[e.as_fraction() for e in row]
+                    for row in D.exact.pair_blocks[0]]
         assert b_theta3 == [[Fraction(1, 10), Fraction(2, 10)],
                             [Fraction(2, 10), Fraction(4, 10)]]
-        b_theta2 = D.exact.block_as_fractions(1)
+        b_theta2 = [[e.as_fraction() for e in row]
+                    for row in D.exact.pair_blocks[1]]
         assert b_theta2 == [[Fraction(4, 10), Fraction(-2, 10)],
                             [Fraction(-2, 10), Fraction(1, 10)]]
 
@@ -193,7 +196,6 @@ class TestCharPolySuite:
         # phi(X-0) - phi(X-1) = gamma * psi with gamma = (a-c)/k... as
         # integer polynomials: difference = (a - c) * t^(n-1)
         a, k, c = 3, 2, 6
-        from revival_lab.exact import poly_sub
         suite = char_poly_suite(a, k, c)
         diff = poly_sub(suite["phi_minus_0"], suite["phi_minus_1"])
         gamma = Fraction(a - c, k)
@@ -233,7 +235,7 @@ class TestFactoredParity:
             assert np.abs(D.adjacency() - A).max() < 1e-12, name
             for t in (0.7, 2.9):
                 U = sum(np.exp(1j * t * th) * P for th, P in zip(D.eigenvalues, E))
-                assert np.abs(transition_matrix(D, t).entries - U).max() < 1e-12, name
+                assert np.abs(transition_matrix(D, t) - U).max() < 1e-12, name
 
     def test_verify_fr_at_rows(self, parity_cases):
         t = 1.3
@@ -250,20 +252,6 @@ class TestFactoredParity:
     def test_verify_fr_at_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
             verify_fr_at(decompose(build_path(3)), 0, 2, float("nan"))
-
-
-def test_hot_paths_leave_projectors_unbuilt():
-    D = decompose(build_path(200))
-    certify_fr(D, 0, 199)
-    verify_fr_at(D, 0, 199, 1.0)
-    support_graph(D, subset_state({0, 199}, D.n))
-    transfer.detect_subset_transfer(D, {0}, {199}, 1.0)
-    rho1, rho2 = subset_state({0}, D.n), subset_state({199}, D.n)
-    average_state(D, rho1)
-    transfer.average_state_equality(D, rho1, rho2)
-    transfer.induced_transfer_check(D, rho1, rho2, 1.0)
-    assert "projectors" not in vars(D)
-    assert len(D.projectors) == D.m and "projectors" in vars(D)
 
 
 class TestStellarQuotient:
@@ -308,11 +296,10 @@ class TestStellarQuotient:
             assert "vectors" not in vars(D), label
 
     def test_quotient_matrix_is_the_symmetrized_quotient(self):
-        from revival_lab.graphs import stellar_partition, symmetrized_quotient
         from revival_lab.spectral import _stellar_quotient
         for a, k, c in [(1, 1, 1), (3, 2, 6), (16, 36, 37), (7, 1, 40)]:
             B = symmetrized_quotient(build_stellar(a, k, c),
-                                     stellar_partition(a, k, c)).weights
+                                     stellar_partition(a, k, c))
             assert np.array_equal(_stellar_quotient(a, k, c), B)
 
     def test_center_queries_never_solve_dense(self, monkeypatch):
@@ -402,7 +389,7 @@ class TestBipartiteSolver:
             assert D.eigenvalues == mirror, name
             V = D.vectors
             assert np.abs(V.T @ V - np.eye(D.n)).max() < 1e-12, name
-            for P, Q in zip(D.projectors, ref.projectors):
+            for P, Q in zip(projectors(D), projectors(ref)):
                 assert np.abs(P - Q).max() < 1e-12, name
             if not D.connected:
                 continue

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from revival_lab.graphs import build_path, build_stellar
+from referees import (components, is_complete_with_loops, is_periodic,
+                      isolated_loopless)
+from revival_lab.graphs import build_path
 from revival_lab.spectral import decompose, stellar_decompose
-from revival_lab.states import (StateMatrix, average_state, is_periodic,
-                                subset_state, support_graph,
+from revival_lab.states import (StateMatrix, subset_state, support_graph,
                                 support_graph_to_dot)
 
 
@@ -40,11 +41,6 @@ class TestStateMatrix:
         with pytest.raises(ValueError, match="semidefinite"):
             StateMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert calls == [(2, 2), (2, 2)]
-
-    def test_to_density(self):
-        rho = subset_state({0, 1}, 4).to_density()
-        assert np.trace(rho.entries) == pytest.approx(1.0)
-        assert rho.normalized
 
     def test_subset_state_validation(self):
         with pytest.raises(ValueError):
@@ -88,8 +84,6 @@ class TestEigenvalueSupport:
                         edges.add((min(r, s), max(r, s)))
                 G = support_graph(D, M)
                 assert (G.loops, G.edges) == (loops, edges), name
-                average = sum(P @ M @ P for P in E)
-                assert np.abs(average_state(D, M) - average).max() < 1e-12, name
 
     def test_identity_sees_only_loops(self):
         D = decompose(build_path(3))
@@ -101,38 +95,22 @@ class TestSupportGraph:
     def test_stellar_two_complete_components(self):
         D = stellar_decompose(3, 2, 6)
         G = support_graph(D, subset_state({0, 1}, D.n))
-        comps = G.components()
+        comps = components(G)
         assert len(comps) == 2
-        assert all(G.is_complete_with_loops(c) for c in comps)
-        assert G.isolated_loopless() == {2}  # the zero eigenvalue
+        assert all(is_complete_with_loops(G, c) for c in comps)
+        assert isolated_loopless(G) == {2}  # the zero eigenvalue
 
     def test_vertex_state_complete(self):
         D = decompose(build_path(3))
         G = support_graph(D, subset_state({0}, 3))
-        comps = G.components()
-        assert len(comps) == 1 and G.is_complete_with_loops(comps[0])
+        comps = components(G)
+        assert len(comps) == 1 and is_complete_with_loops(G, comps[0])
 
     def test_dot_rendering(self):
         D = decompose(build_path(2))
         G = support_graph(D, subset_state({0}, 2))
         text = support_graph_to_dot(G, colors={0: "lightblue"})
         assert "0 -- 0;" in text and "lightblue" in text
-
-
-class TestAverageState:
-    def test_commutes_with_evolution(self):
-        D = decompose(build_stellar(2, 3, 4))
-        rho = subset_state({0}, D.n)
-        avg = average_state(D, rho)
-        # the average state is a fixed point of the walk
-        from revival_lab.spectral import transition_matrix
-        U = transition_matrix(D, 0.9).entries
-        assert np.abs(U @ avg @ U.conj().T - avg).max() < 1e-9
-
-    def test_trace_preserved(self):
-        D = decompose(build_path(4))
-        rho = subset_state({1, 2}, 4)
-        assert np.trace(average_state(D, rho)) == pytest.approx(2.0)
 
 
 class TestPeriodicity:

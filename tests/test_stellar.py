@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from referees import double_star_tree
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.stellar import (FamilyRecipe, analyze, diophantine_check,
-                                 double_star_tree, generate_family,
-                                 generate_polygamy_triple)
+                                 generate_family, generate_polygamy_triple)
 
 
 class TestAnalyze:

