@@ -3,15 +3,14 @@ continuous quantum walks on unweighted graphs, with exact closed-form
 treatment of the fused-star family X(a, k, c).
 """
 
-from .exact import (QuadraticValue, charpoly_int, fermat_two_squares,
-                    is_prime, rationalize, square_free_part,
-                    two_adic_valuation)
+from .exact import (charpoly_int, fermat_two_squares, is_prime, rationalize,
+                    square_free_part, two_adic_valuation)
 from .graphs import (Graph, build_path, build_star, build_stellar,
                      cartesian_product, graph_from_graph6, graph_from_json,
                      graph_to_dot, graph_to_json, induced_subgraph,
                      stellar_cells)
-from .spectral import (SpectralDecomposition, StellarExact, char_poly_suite,
-                       decompose, stellar_decompose, transition_rows)
+from .spectral import (SpectralDecomposition, char_poly_suite, decompose,
+                       stellar_decompose, transition_rows)
 from .states import (StateMatrix, SupportGraph, subset_state, support_graph,
                      support_graph_to_dot)
 from .revival import (FRObservation, RevivalCertificate, certify_fr,

@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import graphs, revival, spectral, states, stellar, transfer
 
@@ -162,30 +163,38 @@ def _family_line(triple: tuple[int, int, int]) -> dict:
     return doc
 
 
+def _family_triples(args) -> Iterator[tuple[int, int, int]]:
+    """The triples of ``family``'s ranges, made one at a time."""
+    if args.polygamy:
+        for r in parse_range(args.polygamy):
+            yield stellar.generate_polygamy_triple(args.p, r)
+        return
+    if args.delta is None or args.alpha is None:
+        raise ValueError("family needs --delta and --alpha (or --polygamy)")
+    betas = parse_range(args.beta) if args.beta else None
+    for alpha in parse_range(args.alpha):
+        candidates = ([args.beta_factor * alpha] if args.beta_factor
+                      else list(betas or []))
+        for beta in candidates:
+            try:
+                triple = stellar.generate_family(
+                    stellar.FamilyRecipe.from_parameters(
+                        args.p, args.delta, alpha, beta))
+            except ValueError:
+                continue
+            yield triple
+
+
 def cmd_family(args, out) -> int:
     if args.count is not None and args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
-    triples: list[tuple[int, int, int]] = []
-    if args.polygamy:
-        for r in parse_range(args.polygamy):
-            triples.append(stellar.generate_polygamy_triple(args.p, r))
-    else:
-        if args.delta is None or args.alpha is None:
-            raise ValueError("family needs --delta and --alpha (or --polygamy)")
-        betas = parse_range(args.beta) if args.beta else None
-        for alpha in parse_range(args.alpha):
-            candidates = ([args.beta_factor * alpha] if args.beta_factor
-                          else list(betas or []))
-            for beta in candidates:
-                try:
-                    recipe = stellar.FamilyRecipe.from_parameters(
-                        args.p, args.delta, alpha, beta)
-                    triples.append(stellar.generate_family(recipe))
-                except ValueError:
-                    continue
-    if args.count is not None:
-        triples = triples[:args.count]
-    for triple in triples:
+    # the triple after the last line is still made, so that bad parameters
+    # are an input error under --count 0 too. No line is written before an
+    # error: a polygamy triple's a is convex in r and negative at r = 0, so
+    # the r it rejects come first in a range
+    for i, triple in enumerate(_family_triples(args)):
+        if i == args.count:
+            break
         out.write(json.dumps(_family_line(triple)) + "\n")
     return 0
 

@@ -1,5 +1,5 @@
-"""Exact arithmetic helpers: quadratic surds, square-free parts, 2-adic
-valuations and integer characteristic polynomials.
+"""Exact arithmetic helpers: square-free parts, 2-adic valuations and integer
+characteristic polynomials.
 
 Everything in this module is exact; no floating point enters except in
 explicit conversions (``float(...)``).
@@ -11,7 +11,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -200,164 +199,6 @@ def rationalize(x: float, max_denominator: int = 10**6,
     if abs(float(cand) - x) < tol:
         return cand
     return None
-
-
-@dataclass(frozen=True)
-class QuadraticValue:
-    """Exact value p + q*sqrt(delta) with rational p, q and square-free delta.
-
-    delta = 1 values are normalized to a pure rational (q = 0). Arithmetic is
-    closed for operands sharing the same radicand; mixing distinct radicands
-    raises. A radicand is factored once, where it enters: in the constructor
-    and in ``sqrt``. Arithmetic results reuse their operands' radicand, which
-    is already square-free, unless ``sqrt`` ran out of steps.
-    """
-
-    p: Fraction
-    q: Fraction
-    delta: int
-
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError(f"radicand must be positive, got {self.delta}")
-        sf, m = square_free_part(self.delta)
-        self._normalize(Fraction(self.p), Fraction(self.q) * m, sf)
-
-    def _normalize(self, p: Fraction, q: Fraction, delta: int) -> None:
-        if delta == 1 or q == 0:
-            p, q, delta = p + (q if delta == 1 else 0), Fraction(0), 1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "delta", delta)
-
-    @classmethod
-    def _reduced(cls, p: Fraction, q: Fraction, delta: int) -> "QuadraticValue":
-        """p + q*sqrt(delta) for Fractions p, q and a delta already known
-        to be square-free."""
-        value = object.__new__(cls)
-        value._normalize(p, q, delta)
-        return value
-
-    @classmethod
-    def of(cls, value: int | Fraction) -> "QuadraticValue":
-        return cls._reduced(Fraction(value), Fraction(0), 1)
-
-    @classmethod
-    def sqrt(cls, n: int, steps: float = math.inf) -> "QuadraticValue":
-        """Exact square root of a nonnegative integer. When n does not split
-        within ``steps`` (see ``square_free_part``) the radicand stays n:
-        the value is exact but unreduced, and compares unequal to itself
-        over the reduced radicand."""
-        if n < 0:
-            raise ValueError("negative radicand")
-        root = math.isqrt(n)
-        if root * root == n:
-            return cls.of(root)
-        try:
-            delta, m = square_free_part(n, steps=steps)
-        except ArithmeticError:
-            delta, m = n, 1
-        return cls._reduced(Fraction(0), Fraction(m), delta)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.p
-
-    def conjugate(self) -> "QuadraticValue":
-        return self._reduced(self.p, -self.q, self.delta)
-
-    def _coerce(self, other) -> "QuadraticValue":
-        if isinstance(other, QuadraticValue):
-            if other.delta != self.delta and not (other.is_rational or self.is_rational):
-                raise ValueError(
-                    f"mixed radicands {self.delta} and {other.delta}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticValue.of(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _delta_of(self, other: "QuadraticValue") -> int:
-        return self.delta if not self.is_rational else other.delta
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._reduced(self.p + o.p, self.q + o.q, self._delta_of(o))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._reduced(-self.p, -self.q, self.delta)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._delta_of(o)
-        return self._reduced(self.p * o.p + self.q * o.q * d,
-                             self.p * o.q + self.q * o.p, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._delta_of(o)
-        norm = o.p * o.p - o.q * o.q * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic value")
-        inv = self._reduced(o.p / norm, -o.q / norm, d)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        return QuadraticValue.of(other) / self
-
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(self.delta)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.p == other
-        if isinstance(other, QuadraticValue):
-            return (self.p == other.p and self.q == other.q
-                    and (self.q == 0 or self.delta == other.delta))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.delta if self.q else 1))
-
-    def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.p)
-        surd = f"sqrt({self.delta})"
-        head = "" if self.p == 0 else f"{self.p} "
-        if self.q == 1:
-            tail = surd
-        elif self.q == -1:
-            tail = f"-{surd}"
-        else:
-            tail = f"{self.q}*{surd}"
-        if head and self.q > 0:
-            return f"{head}+ {tail}"
-        if head:
-            return f"{head}- {-self.q}*{surd}" if self.q != -1 else f"{head}- {surd}"
-        return tail
 
 
 @functools.cache

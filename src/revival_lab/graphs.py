@@ -137,7 +137,11 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_from_graph6(text: str) -> Graph:
-    """Decode a graph6 string (optionally with the >>graph6<< header)."""
+    """Decode a graph6 string (optionally with the >>graph6<< header).
+
+    The size takes 1 byte below 63 vertices, else 4 (``~`` and 3 bytes) or 8
+    (``~~`` and 6 bytes); after it come exactly ceil(n(n-1)/12) bytes of
+    edge bits, padded with zero bits. Anything else is rejected."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -146,21 +150,23 @@ def graph_from_graph6(text: str) -> Graph:
         raise ValueError("empty graph6 input")
     if any(b < 0 or b > 63 for b in data):
         raise ValueError("invalid graph6 character")
-    if data[0] <= 62:
-        n, data = data[0], data[1:]
-    elif len(data) >= 4 and data[1] <= 62:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        data = data[4:]
-    else:
-        n = ((data[2] << 30) | (data[3] << 24) | (data[4] << 18)
-             | (data[5] << 12) | (data[6] << 6) | data[7])
-        data = data[8:]
+    head = 1 if data[0] < 63 else 8 if data[1:2] == [63] else 4
+    if len(data) < head:
+        raise ValueError("graph6 size header too short")
+    n = 0
+    for b in data[head // 4:head]:
+        n = n << 6 | b
+    data = data[head:]
+    need = n * (n - 1) // 2
+    size = -(-need // 6)
+    if len(data) != size:
+        raise ValueError(
+            f"graph6 string too {'short' if len(data) < size else 'long'}")
     bits = []
     for b in data:
         bits += [(b >> shift) & 1 for shift in range(5, -1, -1)]
-    need = n * (n - 1) // 2
-    if len(bits) < need:
-        raise ValueError("graph6 string too short")
+    if any(bits[need:]):
+        raise ValueError("graph6 padding bits are not zero")
     edges = []
     idx = 0
     for v in range(1, n):

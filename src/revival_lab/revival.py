@@ -118,8 +118,7 @@ def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
     """gamma of the fused-star centers, exactly; None for any other pair."""
     if D.exact is None or (a, b) not in ((0, 1), (1, 0)):
         return None
-    gamma = Fraction(D.exact.a - D.exact.c, D.exact.k)
-    return gamma if (a, b) == (0, 1) else -gamma
+    return D.exact.gamma if (a, b) == (0, 1) else -D.exact.gamma
 
 
 def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:

@@ -2,22 +2,19 @@
 matrix U(t) = exp(itA).
 
 Arbitrary graphs get a numeric symmetric eigen-solve with gap-based
-eigenvalue grouping. Fused-star graphs get an exact-quadratic backing:
-eigenvalue squares and the projector blocks on the two centers are computed
-in closed form over a single radicand, and queries on the centers are
-answered from the five-cell quotient, with no eigen-solve of size n.
+eigenvalue grouping. Fused-star graphs get closed-form eigenvalues from
+their exact analysis, and queries on the two centers are answered from the
+five-cell quotient, with no eigen-solve of size n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .exact import QuadraticValue
 from .graphs import Graph, build_stellar
 from .stellar import StellarAnalysis, analyze
 
@@ -25,48 +22,6 @@ GROUPING_TOL = 1e-9
 # Vertices from which a bipartite graph is solved by the SVD of its half-size
 # block rather than by eigh of A (measured crossover, see CHANGES.md).
 _SVD_MIN_VERTICES = 48
-
-
-@dataclass(frozen=True)
-class StellarExact:
-    """Closed-form spectral data for X(a, k, c), from its ``analysis``.
-
-    ``pair_blocks`` is indexed like the parent decomposition's eigenvalue
-    list: the 2x2 restrictions of each projector to the two centers {0, 1}.
-    It is built on first access: it needs sqrt(sigma) in exact form, and the
-    decomposition does not.
-    """
-
-    a: int
-    k: int
-    c: int
-    analysis: StellarAnalysis = field(repr=False, compare=False)
-
-    @cached_property
-    def pair_blocks(self) -> tuple[tuple[tuple[QuadraticValue, ...], ...], ...]:
-        """With theta^2 = (mu +- sqrt(sigma))/2 the blocks on the centers
-        are [[1/4 + x, e], [e, 1/4 - x]] for +-theta5 and
-        [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, where
-        x = (a - c) sqrt(sigma) / (4 sigma) and e = k sqrt(sigma) / (2 sigma);
-        sqrt(sigma) is theta5^2 - theta3^2, in the radicand analyze found, so
-        each entry is built once, over that radicand."""
-        an = self.analysis
-        root = an.theta5_sq - an.theta3_sq
-        # s + m sqrt(delta) with integers s, m, one of them 0
-        s, m, delta = int(root.p), int(root.q), root.delta
-        d, den = self.a - self.c, 4 * an.sigma
-
-        def entry(p: int, q: int) -> QuadraticValue:
-            return QuadraticValue._reduced(Fraction(p, den), Fraction(q, den),
-                                           delta)
-
-        e00 = entry(an.sigma + d * s, d * m)
-        e11 = entry(an.sigma - d * s, -d * m)
-        e01 = entry(2 * self.k * s, 2 * self.k * m)
-        zero = QuadraticValue.of(0)
-        plus = ((e00, e01), (e01, e11))
-        minus = ((e11, -e01), (-e01, e00))
-        return (plus, minus, ((zero, zero), (zero, zero)), minus, plus)
 
 
 @dataclass(frozen=True)
@@ -99,11 +54,12 @@ class SpectralDecomposition:
     read these factors, or rows of them; no dense n x n projector is built.
 
     ``factors`` holds ``vectors`` when they are known at construction. A
-    quotient-backed decomposition (the fused stars, whose ``exact`` is set)
-    leaves it None: its ``pair_block``, ``projector_rows`` and
-    ``transition_rows`` answer from ``quotient`` when every requested row
-    is a singleton cell, and anything else that reads ``vectors`` builds
-    them on first access with a dense ``eigh``, then keeps them.
+    quotient-backed decomposition (the fused stars, whose ``exact`` is the
+    ``StellarAnalysis`` it was built from) leaves it None: its
+    ``projector_rows`` and ``transition_rows`` answer from ``quotient``
+    when every requested row is a singleton cell, and anything else that
+    reads ``vectors`` builds them on first access with a dense ``eigh``,
+    then keeps them.
 
     ``memo`` holds results that consumers derive from the decomposition and
     keep with it (the certifier's gate table). repr leaves it out, and a
@@ -118,7 +74,7 @@ class SpectralDecomposition:
     bounds: tuple[int, ...]
     connected: bool
     warnings: tuple[str, ...] = ()
-    exact: StellarExact | None = None
+    exact: StellarAnalysis | None = None
     quotient: Quotient | None = field(default=None, repr=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -174,11 +130,6 @@ class SpectralDecomposition:
         R, V, bounds, sizes = self._row_factors(rows)
         products = R[:, None, :] * V[None, :, :]
         return _lift(np.add.reduceat(products, bounds[:-1], axis=2), sizes, 1)
-
-    def pair_block(self, r: int, a: int, b: int) -> np.ndarray:
-        rows, _, bounds, _ = self._row_factors([a, b])
-        rows = rows[:, bounds[r]:bounds[r + 1]]
-        return rows @ rows.T
 
 
 def _lift(x: np.ndarray, sizes: tuple[int, ...] | None,
@@ -338,13 +289,13 @@ def _stellar_quotient(a: int, k: int, c: int) -> np.ndarray:
 
 
 def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
-    """Spectral decomposition of X(a, k, c) with exact-quadratic backing.
+    """Spectral decomposition of X(a, k, c) backed by its exact analysis.
 
     The eigenvalues are the closed forms +-theta5, +-theta3 and 0, of
-    multiplicities 1, 1, n - 4, 1, 1; the projector blocks on the centers
-    {0, 1} and the eigenvalue squares are carried exactly. Queries on the
-    centers are answered from the eigenvectors of the 5x5 quotient; the
-    dense eigenvectors are built only when something reads ``vectors``.
+    multiplicities 1, 1, n - 4, 1, 1, and ``exact`` is ``analyze(a, k, c)``.
+    Queries on the centers are answered from the eigenvectors of the 5x5
+    quotient; the dense eigenvectors are built only when something reads
+    ``vectors``.
     """
     return _stellar_decomposition(analyze(a, k, c))
 
@@ -371,7 +322,7 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
     n = a + k + c + 2
     return SpectralDecomposition(
         eigenvalues, None, (0, 1, 2, n - 2, n - 1, n), True, tuple(warnings),
-        StellarExact(a, k, c, an), Quotient(W, sizes, {0: 0, 1: 1}))
+        an, Quotient(W, sizes, {0: 0, 1: 1}))
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:
@@ -400,6 +351,6 @@ def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:
 
 
 __all__ = [
-    "SpectralDecomposition", "StellarExact", "decompose", "transition_rows",
+    "SpectralDecomposition", "decompose", "transition_rows",
     "stellar_decompose", "char_poly_suite",
 ]

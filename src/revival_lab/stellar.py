@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .exact import (QuadraticValue, fermat_two_squares, square_free_part,
-                    two_adic_valuation)
+from .exact import fermat_two_squares, square_free_part, two_adic_valuation
 
 POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
 # Steps of Pollard-Brent rho that may go into reducing sqrt(sigma) for
@@ -27,14 +25,10 @@ class StellarAnalysis:
     """Exact FR verdict on the centers {0, 1} of X(a, k, c), decided from
     the integers mu = 2k + a + c and sigma = 4k^2 + (a - c)^2.
 
-    The two nonzero eigenvalue magnitudes are sqrt(theta3_sq) and
-    sqrt(theta5_sq), with theta3_sq, theta5_sq = (mu -+ sqrt(sigma))/2.
-    They are derived on first access, for output, and are not part of the
-    decision: only when sigma is not a square do they need its square-free
-    part, found once for both. When sigma does not split within _SURD_STEPS
-    steps, sqrt(sigma) is kept unreduced: exact all the same. When both
-    squares are integers sharing a square-free part delta, they equal
-    alpha**2 * delta and beta**2 * delta.
+    The two nonzero eigenvalue magnitudes theta3 and theta5 have squares
+    (mu -+ sqrt(sigma))/2. These are printed by ``to_json_dict`` and are not
+    part of the decision. When both are integers sharing a square-free part
+    delta, they equal alpha**2 * delta and beta**2 * delta.
 
     min_period is always 2 * tau_min (None when there is no FR). For a
     proper triple it is the first time at which the block of U(t) on the
@@ -59,23 +53,6 @@ class StellarAnalysis:
     min_period: float | None = None
     two_adic: tuple[int, int] | None = None
 
-    @cached_property
-    def _theta_squares(self) -> tuple[QuadraticValue, QuadraticValue]:
-        s = math.isqrt(self.sigma)
-        if s * s == self.sigma:
-            return (QuadraticValue.of(Fraction(self.mu - s, 2)),
-                    QuadraticValue.of(Fraction(self.mu + s, 2)))
-        root, half = QuadraticValue.sqrt(self.sigma, _SURD_STEPS), Fraction(1, 2)
-        return (self.mu - root) * half, (self.mu + root) * half
-
-    @property
-    def theta3_sq(self) -> QuadraticValue:
-        return self._theta_squares[0]
-
-    @property
-    def theta5_sq(self) -> QuadraticValue:
-        return self._theta_squares[1]
-
     @property
     def gamma(self) -> Fraction:
         """Fractional-cospectrality scalar for the pair (0, 1)."""
@@ -86,16 +63,34 @@ class StellarAnalysis:
         return self.a == self.c
 
     def to_json_dict(self) -> dict:
+        theta3, theta5 = _theta_square_strings(self.mu, self.sigma)
         return {
             "a": self.a, "k": self.k, "c": self.c,
             "mu": self.mu, "sigma": self.sigma,
-            "theta3_sq": str(self.theta3_sq), "theta5_sq": str(self.theta5_sq),
+            "theta3_sq": theta3, "theta5_sq": theta5,
             "Delta": self.delta, "alpha": self.alpha, "beta": self.beta,
             "verdict": self.verdict,
             "tau_min": self.tau_min, "min_period": self.min_period,
             "two_adic": list(self.two_adic) if self.two_adic else None,
             "gamma": f"{self.gamma.numerator}/{self.gamma.denominator}",
         }
+
+
+def _theta_square_strings(mu: int, sigma: int) -> tuple[str, str]:
+    """The squares (mu -+ sqrt(sigma))/2 as printed: two fractions when sigma
+    is a square, else "p -+ q*sqrt(delta)" with p = mu/2 and sigma =
+    m**2 * delta, q = m/2 (and no "q*" when q = 1). sigma is factored at
+    most once; when it does not split within _SURD_STEPS steps it is kept
+    as the radicand, unreduced, with m = 1: exact all the same."""
+    s = math.isqrt(sigma)
+    if s * s == sigma:
+        return str(Fraction(mu - s, 2)), str(Fraction(mu + s, 2))
+    try:
+        delta, m = square_free_part(sigma, steps=_SURD_STEPS)
+    except ArithmeticError:
+        delta, m = sigma, 1
+    p, q = Fraction(mu, 2), "" if m == 2 else f"{Fraction(m, 2)}*"
+    return f"{p} - {q}sqrt({delta})", f"{p} + {q}sqrt({delta})"
 
 
 def analyze(a: int, k: int, c: int) -> StellarAnalysis:

@@ -25,7 +25,7 @@ def parity_cases():
     """(name, decomposition, reference projectors, vertex pairs) for every
     connected graph on at most 6 vertices, the paths P2..P40, the prisms
     C_m x K2 for m = 3..12 (which have repeated eigenvalues) and the
-    exact-quadratic X(a, k, c) of small triples. The reference projectors
+    quotient-backed X(a, k, c) of small triples. The reference projectors
     E_r = V_r V_r^T are the referee's, built from the decomposition's factors.
     """
     import networkx as nx

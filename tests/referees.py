@@ -10,6 +10,8 @@ acceptance criteria were written with.
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -128,6 +130,49 @@ def symmetrized_quotient(X: Graph, cells: list[set[int]]) -> np.ndarray:
     if not ok:
         raise ValueError("partition is not equitable")
     return np.sqrt(counts * counts.T)
+
+
+# --- the fused stars ---------------------------------------------------------
+
+def stellar_center_blocks(a: int, k: int, c: int) -> list:
+    """The 2x2 blocks of E_r on the centers {0, 1} of X(a, k, c), for the
+    eigenvalues theta5, theta3, 0, -theta3, -theta5 in that order. Each
+    entry is a pair (p, q) of Fractions standing for p + q/sqrt(sigma),
+    sigma = 4k^2 + (a - c)^2. With x = (a - c)/(4 sqrt(sigma)) and
+    e = k/(2 sqrt(sigma)) the blocks are [[1/4 + x, e], [e, 1/4 - x]] for
+    +-theta5, [[1/4 - x, -e], [-e, 1/4 + x]] for +-theta3, and 0."""
+    x, e = Fraction(a - c, 4), Fraction(k, 2)
+    quarter, zero = Fraction(1, 4), Fraction(0)
+    plus = [[(quarter, x), (zero, e)], [(zero, e), (quarter, -x)]]
+    minus = [[(quarter, -x), (zero, -e)], [(zero, -e), (quarter, x)]]
+    null = [[(zero, zero)] * 2] * 2
+    return [plus, minus, null, minus, plus]
+
+
+def surd_values(blocks: list, root: int | float) -> list:
+    """The entries p + q/root of ``stellar_center_blocks``, with root =
+    sqrt(sigma): Fractions for an integer root, floats for a float one."""
+    return [[[p + q / root for p, q in row] for row in block]
+            for block in blocks]
+
+
+_SURD = re.compile(r"(\S+) ([-+]) (?:(\S+)\*)?sqrt\((\d+)\)")
+
+
+def theta_squares(doc: dict) -> tuple[Fraction, Fraction, int]:
+    """(p, q, d) with theta3^2, theta5^2 = p -+ q sqrt(d), parsed from the
+    strings of ``StellarAnalysis.to_json_dict``: "p - q*sqrt(d)" and
+    "p + q*sqrt(d)" ("q*" left out when q is 1), or two fractions, when
+    d = 1 is returned."""
+    three, five = doc["theta3_sq"], doc["theta5_sq"]
+    m3, m5 = _SURD.fullmatch(three), _SURD.fullmatch(five)
+    if m3 is None:
+        y3, y5 = Fraction(three), Fraction(five)
+        return (y3 + y5) / 2, (y5 - y3) / 2, 1
+    assert m3[2] == "-" and m5[2] == "+", (three, five)
+    assert m3[1] == m5[1] and m3[3] == m5[3] != "1", (three, five)
+    assert m3[4] == m5[4], (three, five)
+    return Fraction(m3[1]), Fraction(m3[3] or 1), int(m3[4])
 
 
 # --- named graphs, observations and polynomials -----------------------------

@@ -15,7 +15,8 @@ import pytest
 
 from referees import (average_state_equality, block_is_scalar,
                       double_star_tree, is_periodic, projectors,
-                      transition_matrix, unitarity_error)
+                      stellar_center_blocks, surd_values, transition_matrix,
+                      unitarity_error)
 from revival_lab.exact import square_free_part
 from revival_lab.graphs import (Graph, build_path, build_stellar,
                                 cartesian_product)
@@ -76,16 +77,17 @@ def test_criterion_02_exact_projector_blocks():
         3: [[Fraction(1, 10), Fraction(2, 10)],
             [Fraction(2, 10), Fraction(4, 10)]],
     }
+    # the closed form's entries over 1 and 1/sqrt(sigma), sigma = 25
+    exact = surd_values(stellar_center_blocks(3, 2, 6), 5)
+    blocks = D.projector_rows([0, 1])[:, [0, 1]]
     ok = True
     worst = 0.0
     for r, theta in enumerate(D.eigenvalues):
         mag = round(abs(theta))
         if mag not in expected:
             continue
-        block = [[e.as_fraction() for e in row]
-                 for row in D.exact.pair_blocks[r]]
-        ok = ok and block == expected[mag]
-        numeric = D.pair_block(r, 0, 1)
+        ok = ok and exact[r] == expected[mag]
+        numeric = blocks[..., r]
         err = float(np.abs(numeric - np.array(expected[mag], float)).max())
         worst = max(worst, err)
     ok = ok and worst < 1e-9

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import revival_lab
+from revival_lab import stellar
 
 from revival_lab.cli import main, parse_time, parse_triple, parse_vertex_set
 from revival_lab.graphs import build_stellar, graph_from_json, graph_to_json
@@ -178,6 +179,24 @@ class TestFamilyCommand:
                               "--count", "1"])
         assert len(text.splitlines()) == 1
 
+    def test_count_stops_generating(self, monkeypatch):
+        """--count 1 makes the one triple it prints and the next, not the
+        300,000 of the range; --count 0 still rejects a bad prime."""
+        made = []
+        real = stellar.generate_polygamy_triple
+
+        def counted(p, r):
+            made.append(r)
+            return real(p, r)
+
+        monkeypatch.setattr(stellar, "generate_polygamy_triple", counted)
+        code, text = run_cli(["family", "--p", "13", "--polygamy",
+                              "1..300000", "--count", "1"])
+        assert code == 0 and len(text.splitlines()) == 1 and made == [1, 2]
+        code, text = run_cli(["family", "--p", "12", "--polygamy", "1..3",
+                              "--count", "0"])
+        assert code == 2 and text == ""
+
     def test_negative_count_exit_two(self, capsys):
         code, text = run_cli(["family", "--p", "13", "--polygamy", "1..3",
                               "--count", "-1"])
@@ -255,6 +274,14 @@ class TestExportCommand:
         code, text = run_cli(["export", "--graph", str(path)])
         assert code == 2 and text == ""
         assert "at least one vertex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["A_~~", "A`", "~?", "~??"])
+    def test_malformed_graph6_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.g6"
+        path.write_text(content)
+        code, text = run_cli(["export", "--graph", str(path)])
+        assert code == 2 and text == ""
+        assert "error: graph6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "stellar"])

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from referees import poly_mul, poly_sub
 from revival_lab import exact
-from revival_lab.exact import (QuadraticValue, charpoly_int,
-                               fermat_two_squares, is_prime, rationalize,
-                               square_free_part, two_adic_valuation)
+from revival_lab.exact import (charpoly_int, fermat_two_squares, is_prime,
+                               rationalize, square_free_part,
+                               two_adic_valuation)
 from revival_lab.graphs import Graph, build_path, build_stellar
 from revival_lab.spectral import char_poly_suite
 
@@ -167,68 +167,6 @@ def test_rationalize():
     # every float is rational within the default slack; tighten to reject
     assert rationalize(math.pi, max_denominator=50, tol=1e-9) is None
     assert rationalize(float("nan")) is None
-
-
-class TestQuadraticValue:
-    def test_normalization(self):
-        v = QuadraticValue(Fraction(1), Fraction(1), 8)
-        assert v.delta == 2 and v.q == 2
-        w = QuadraticValue(Fraction(3), Fraction(2), 1)
-        assert w.is_rational and w.as_fraction() == 5
-
-    def test_sqrt(self):
-        r = QuadraticValue.sqrt(45)
-        assert r.delta == 5 and r.q == 3
-        assert QuadraticValue.sqrt(9) == 3
-        assert QuadraticValue.sqrt(0) == 0
-
-    def test_arithmetic_worked(self):
-        r = QuadraticValue.sqrt(2)
-        assert float((1 + r) * (1 + r)) == pytest.approx(3 + 2 * math.sqrt(2))
-        assert (1 + r) * (1 - r) == -1
-        assert 1 / r == QuadraticValue(Fraction(0), Fraction(1, 2), 2)
-
-    def test_mixed_radicands_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticValue.sqrt(2) + QuadraticValue.sqrt(3)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QuadraticValue.sqrt(2) / 0
-
-    def test_arithmetic_never_factors(self, square_free_calls):
-        r, s = QuadraticValue.sqrt(999999000001), QuadraticValue.sqrt(45)
-        half = QuadraticValue(Fraction(1, 2), Fraction(0), 1)
-        square_free_calls.clear()
-        for x in (r, s):
-            y = (x + 3) * (x - Fraction(1, 2)) / (2 * x + 1) - half
-            assert (-y).conjugate() + y.conjugate() == 0
-            assert (1 / x) * x == 1 and 3 - x != x
-        assert QuadraticValue.sqrt(10**40) == 10**20
-        assert square_free_calls == []
-
-    def test_str(self):
-        assert str(QuadraticValue.sqrt(5)) == "sqrt(5)"
-        assert str(QuadraticValue(Fraction(1, 2), Fraction(-1), 3)) == "1/2 - sqrt(3)"
-
-    rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
-
-    @given(rationals, rationals, rationals, rationals,
-           st.sampled_from([2, 3, 5, 7]))
-    def test_ring_laws(self, p1, q1, p2, q2, delta):
-        x = QuadraticValue(p1, q1, delta)
-        y = QuadraticValue(p2, q2, delta)
-        assert x + y == y + x
-        assert x * y == y * x
-        assert float(x * y) == pytest.approx(float(x) * float(y), abs=1e-6)
-        assert (x - y) + y == x
-        if float(y) != 0 and y.p * y.p != y.q * y.q * delta:
-            assert (x / y) * y == x
-
-    @given(rationals, rationals, st.sampled_from([2, 3, 5, 7]))
-    def test_conjugate_norm_is_rational(self, p, q, delta):
-        x = QuadraticValue(p, q, delta)
-        assert (x * x.conjugate()).is_rational
 
 
 def faddeev_leverrier(A):

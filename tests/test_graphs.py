@@ -220,6 +220,16 @@ class TestSerialization:
             graph_from_graph6("")
         with pytest.raises(ValueError):
             graph_from_graph6("\x01\x02")
+        for text, message in [
+                ("A_~~", "too long"),      # K2 and two bytes past its edge bit
+                ("A`", "padding"),         # K2 with a padding bit set
+                ("DQcA", "too long"),
+                ("DQ", "too short"),
+                ("~?", "size header"),     # a 4-byte size cut after 2 bytes
+                ("~??", "size header"),
+                ("~~???", "size header")]:  # an 8-byte size cut after 5
+            with pytest.raises(ValueError, match=message):
+                graph_from_graph6(text)
 
     def test_dot_output(self):
         text = graph_to_dot(build_path(2))

@@ -9,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from referees import (poly_sub, projectors, stellar_partition,
-                      symmetrized_quotient, transition_matrix,
-                      unitarity_error)
+from referees import (poly_sub, projectors, stellar_center_blocks,
+                      stellar_partition, surd_values, symmetrized_quotient,
+                      theta_squares, transition_matrix, unitarity_error)
 from revival_lab.exact import charpoly_int
 from revival_lab.graphs import Graph, build_path, build_star, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
@@ -97,40 +97,46 @@ class TestTransitionMatrix:
             transition_matrix(D, float("inf"))
 
 
+def center_blocks(D):
+    """The blocks of every E_r on the centers {0, 1}, as (2, 2, m)."""
+    return D.projector_rows([0, 1])[:, [0, 1]]
+
+
 class TestStellarDecompose:
     def test_3_2_6_exact_blocks(self):
         D = stellar_decompose(3, 2, 6)
-        assert D.exact is not None and decompose(build_path(2)).exact is None
+        assert D.exact == analyze(3, 2, 6)
+        assert decompose(build_path(2)).exact is None
         assert D.eigenvalues == pytest.approx([3, 2, 0, -2, -3])
-        # blocks on the centers, exactly
-        b_theta3 = [[e.as_fraction() for e in row]
-                    for row in D.exact.pair_blocks[0]]
-        assert b_theta3 == [[Fraction(1, 10), Fraction(2, 10)],
+        # blocks on the centers, exactly: sigma = 25
+        exact = surd_values(stellar_center_blocks(3, 2, 6), 5)
+        assert exact[0] == [[Fraction(1, 10), Fraction(2, 10)],
                             [Fraction(2, 10), Fraction(4, 10)]]
-        b_theta2 = [[e.as_fraction() for e in row]
-                    for row in D.exact.pair_blocks[1]]
-        assert b_theta2 == [[Fraction(4, 10), Fraction(-2, 10)],
+        assert exact[1] == [[Fraction(4, 10), Fraction(-2, 10)],
                             [Fraction(-2, 10), Fraction(1, 10)]]
+        numeric = center_blocks(D)
+        assert all(np.abs(numeric[..., r] - np.array(exact[r], float)).max()
+                   < 1e-9 for r in range(5))
 
     def test_exact_matches_numeric(self):
         for (a, k, c) in [(3, 2, 6), (1, 4, 1), (2, 6, 11), (5, 3, 9)]:
             D = stellar_decompose(a, k, c)
+            exact = surd_values(stellar_center_blocks(a, k, c),
+                                math.sqrt(D.exact.sigma))
+            numeric = center_blocks(D)
             for r in range(5):
-                numeric = D.pair_block(r, 0, 1)
-                exact = np.array([[float(x) for x in row]
-                                  for row in D.exact.pair_blocks[r]])
-                assert np.abs(numeric - exact).max() < 1e-9
+                assert np.abs(numeric[..., r] - np.array(exact[r])).max() < 1e-9
 
     def test_zero_eigenspace_block_vanishes(self):
         D = stellar_decompose(4, 3, 5)
-        assert np.abs(D.pair_block(2, 0, 1)).max() < 1e-9
+        assert np.abs(center_blocks(D)[..., 2]).max() < 1e-9
 
     def test_eigenvalue_squares_vieta(self):
         D = stellar_decompose(6, 3, 14)
-        y5, y3 = D.exact.analysis.theta5_sq, D.exact.analysis.theta3_sq
+        p, q, d = theta_squares(D.exact.to_json_dict())
         a, k, c = 6, 3, 14
-        assert (y5 + y3).as_fraction() == a + 2 * k + c
-        assert (y5 * y3).as_fraction() == a * k + c * k + a * c
+        assert 2 * p == a + 2 * k + c and 4 * q * q * d == D.exact.sigma
+        assert p * p - q * q * d == a * k + c * k + a * c
 
     def test_built_on_analyze_and_lazy_decompose(self, monkeypatch):
         from revival_lab import spectral
@@ -148,7 +154,7 @@ class TestStellarDecompose:
         recording("analyze")
         D = stellar_decompose(2, 6, 28)
         an = seen["analyze"]
-        assert D.exact.analysis is an
+        assert D.exact is an
         certify_fr(D, 0, 1)
         verify_fr_at(D, 0, 1, 1.0)
         assert "decompose" not in seen and "vectors" not in vars(D)
@@ -203,12 +209,15 @@ class TestCharPolySuite:
         assert [Fraction(x) for x in diff] == scaled
 
     def test_scaled_triples_share_blocks(self):
-        # (3m, 2m, 6m) has the same projector blocks on the centers for all m
+        # (3m, 2m, 6m) has the same projector blocks on the centers for all
+        # m: exactly, as sqrt(sigma) = 5m, and as the decomposition gives them
         base = stellar_decompose(3, 2, 6)
+        exact = surd_values(stellar_center_blocks(3, 2, 6), 5)
         for m in range(2, 6):
             D = stellar_decompose(3 * m, 2 * m, 6 * m)
-            for r in range(5):
-                assert D.exact.pair_blocks[r] == base.exact.pair_blocks[r]
+            blocks = stellar_center_blocks(3 * m, 2 * m, 6 * m)
+            assert surd_values(blocks, 5 * m) == exact
+            assert np.abs(center_blocks(D) - center_blocks(base)).max() < 1e-12
 
 
 def test_grouping_warning_near_threshold():
@@ -225,9 +234,9 @@ class TestFactoredParity:
     def test_pair_blocks(self, parity_cases):
         for name, D, E, pairs in parity_cases:
             for a, b in pairs:
-                ref = np.array([P[np.ix_([a, b], [a, b])] for P in E])
-                assert all(np.abs(D.pair_block(r, a, b) - ref[r]).max() < 1e-12
-                           for r in range(D.m)), name
+                ref = np.stack([P[np.ix_([a, b], [a, b])] for P in E], -1)
+                blocks = D.projector_rows([a, b])[:, [a, b]]
+                assert np.abs(blocks - ref).max() < 1e-12, name
 
     def test_adjacency_and_transition_matrix(self, parity_cases):
         for name, D, E, _ in parity_cases:
@@ -276,10 +285,7 @@ class TestStellarQuotient:
             D = stellar_decompose(a, k, c)
             ref = self.dense(D)
             label = (a, k, c)
-            for pair in ((0, 1), (1, 0)):
-                assert all(np.abs(D.pair_block(r, *pair) - ref.pair_block(r, *pair)).max() < 1e-12
-                           for r in range(D.m)), label
-            for rows in ([0, 1], [1]):
+            for rows in ([0, 1], [1, 0], [1]):
                 assert np.abs(D.projector_rows(rows) - ref.projector_rows(rows)).max() < 1e-12, label
             tau = analyze(a, k, c).tau_min
             for t in (0.4, 2.3, tau or 5.1):

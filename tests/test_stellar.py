@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from referees import double_star_tree
+from referees import double_star_tree, theta_squares
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.stellar import (FamilyRecipe, analyze, diophantine_check,
@@ -15,21 +15,24 @@ class TestAnalyze:
     def test_3_2_6(self):
         an = analyze(3, 2, 6)
         assert (an.mu, an.sigma) == (13, 25)
-        assert an.theta3_sq == 4 and an.theta5_sq == 9
+        doc = an.to_json_dict()
+        assert (doc["theta3_sq"], doc["theta5_sq"]) == ("4", "9")
         assert (an.delta, an.alpha, an.beta) == (1, 2, 3)
         assert an.verdict == "proper-FR"
         assert an.tau_min == pytest.approx(math.pi)
 
     def test_1_16_25_improper(self):
         an = analyze(1, 16, 25)
-        assert an.theta3_sq == 9 and an.theta5_sq == 49
+        doc = an.to_json_dict()
+        assert (doc["theta3_sq"], doc["theta5_sq"]) == ("9", "49")
         assert an.verdict == "improper-FR"
         assert an.min_period == pytest.approx(2 * math.pi)
 
     def test_16_36_37(self):
         an = analyze(16, 36, 37)
         assert (an.mu, an.sigma) == (125, 5625)
-        assert an.theta3_sq == 25 and an.theta5_sq == 100
+        doc = an.to_json_dict()
+        assert (doc["theta3_sq"], doc["theta5_sq"]) == ("25", "100")
         assert (an.delta, an.alpha, an.beta) == (1, 5, 10)
         assert an.verdict == "proper-FR"
         assert an.tau_min == pytest.approx(math.pi / 5)
@@ -38,12 +41,21 @@ class TestAnalyze:
         an = analyze(1, 2, 3)
         assert an.verdict == "no-FR" and an.delta is None
 
-    def test_vieta_exact(self):
-        for (a, k, c) in itertools.product(range(1, 13), repeat=3):
+    BIG_K = [(1, 1000012, 2), (1, 10000013, 2), (1, 10**12, 2),
+             (7, 10**9 + 7, 3), (1, 10**15, 2)]
+
+    def test_vieta_exact(self, square_free_calls):
+        """The printed squares p -+ q sqrt(d) have sum mu, product
+        ak + ck + ac and difference sqrt(sigma), exactly, and printing
+        them factors sigma at most once."""
+        for (a, k, c) in [*itertools.product(range(1, 13), repeat=3),
+                          *self.BIG_K]:
             an = analyze(a, k, c)
-            assert (an.theta3_sq + an.theta5_sq).as_fraction() == a + 2 * k + c
-            assert (an.theta3_sq * an.theta5_sq).as_fraction() == \
-                a * k + c * k + a * c
+            square_free_calls.clear()
+            p, q, d = theta_squares(an.to_json_dict())
+            assert len(square_free_calls) <= 1, (a, k, c)
+            assert 2 * p == an.mu and 4 * q * q * d == an.sigma, (a, k, c)
+            assert p * p - q * q * d == a * k + c * k + a * c, (a, k, c)
 
     @pytest.mark.parametrize("triple,theta3_sq,theta5_sq", [
         ((2, 6, 28), "21 - sqrt(205)", "21 + sqrt(205)"),
@@ -70,8 +82,8 @@ class TestAnalyze:
                                                   square_free_calls):
         an = analyze(*triple)
         square_free_calls.clear()
-        an.to_json_dict()
-        assert (an.theta3_sq + an.theta5_sq).as_fraction() == an.mu
+        p, q, d = theta_squares(an.to_json_dict())
+        assert 2 * p == an.mu and 4 * q * q * d == an.sigma
         assert len(square_free_calls) == factorings
 
     def test_gamma(self):
