@@ -5,13 +5,12 @@ treatment of the fused-star family X(a, k, c).
 
 from .exact import (charpoly_int, fermat_two_squares, is_prime, rationalize,
                     square_free_part, two_adic_valuation)
-from .graphs import (Graph, build_path, build_star, build_stellar,
-                     cartesian_product, graph_from_graph6, graph_from_json,
+from .graphs import (Graph, build_stellar, graph_from_graph6, graph_from_json,
                      graph_to_dot, graph_to_json, induced_subgraph,
                      stellar_cells)
 from .spectral import (SpectralDecomposition, char_poly_suite, decompose,
                        stellar_decompose, transition_rows)
-from .states import (StateMatrix, SupportGraph, subset_state, support_graph,
+from .states import (SupportGraph, subset_state, support_graph,
                      support_graph_to_dot)
 from .revival import (FRObservation, RevivalCertificate, certify_fr,
                       verify_fr_at)

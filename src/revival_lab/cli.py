@@ -237,10 +237,9 @@ def cmd_export(args, out) -> int:
     if args.state is None:
         out.write(graphs.graph_to_dot(X) + "\n")
         return 0
-    S = parse_vertex_set(args.state)
+    S = states.subset_state(parse_vertex_set(args.state), X.n)
     D = spectral.decompose(X)
-    rho = states.subset_state(S, X.n)
-    G = states.support_graph(D, rho)
+    G = states.support_graph(D, S)
     colors = None
     if len(S) == 2:
         a, b = sorted(S)
@@ -342,7 +341,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](args, out)
-    except (ValueError, KeyError, IndexError, OSError,
+    except (ValueError, KeyError, IndexError, OSError, MemoryError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

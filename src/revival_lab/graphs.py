@@ -57,20 +57,6 @@ class Graph:
         return A
 
 
-def build_star(leaves: int) -> Graph:
-    """Star K_{1,leaves} with the center at index 0."""
-    if leaves < 1:
-        raise ValueError("a star needs at least one leaf")
-    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
-
-
-def build_path(n: int) -> Graph:
-    """Path P_n with consecutive indices adjacent."""
-    if n < 1:
-        raise ValueError("a path needs at least one vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def build_stellar(a: int, k: int, c: int) -> Graph:
     """Two fused stars: centers 0 and 1 share exactly k leaf neighbors.
 
@@ -92,17 +78,6 @@ def stellar_cells(a: int, k: int, c: int) -> tuple[range, range, range]:
     """Index ranges of the a-cell, k-cell and c-cell of build_stellar."""
     return (range(2, 2 + a), range(2 + a, 2 + a + k),
             range(2 + a + k, 2 + a + k + c))
-
-
-def cartesian_product(X: Graph, Y: Graph) -> Graph:
-    """Cartesian product; vertex (x, y) maps to index x * Y.n + y."""
-    n = Y.n
-    edges = []
-    for x in range(X.n):
-        edges += [(x * n + u, x * n + v) for u, v in Y.edges]
-    for u, v in X.edges:
-        edges += [(u * n + y, v * n + y) for y in range(n)]
-    return Graph.from_edges(X.n * Y.n, edges)
 
 
 def induced_subgraph(X: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -53,13 +53,14 @@ class SpectralDecomposition:
     ``eigenvalues[r]``, so the projector is ``E_r = V_r V_r^T``. Consumers
     read these factors, or rows of them; no dense n x n projector is built.
 
-    ``factors`` holds ``vectors`` when they are known at construction. A
-    quotient-backed decomposition (the fused stars, whose ``exact`` is the
-    ``StellarAnalysis`` it was built from) leaves it None: its
-    ``projector_rows`` and ``transition_rows`` answer from ``quotient``
-    when every requested row is a singleton cell, and anything else that
-    reads ``vectors`` builds them on first access with a dense ``eigh``,
-    then keeps them.
+    ``factors`` holds ``vectors`` and ``source`` holds ``graph`` when they
+    are known at construction. A quotient-backed decomposition (the fused
+    stars, whose ``exact`` is the ``StellarAnalysis`` it was built from)
+    leaves both None: its ``projector_rows`` and ``transition_rows`` answer
+    from ``quotient`` when every requested row is a singleton cell, and
+    anything else that reads ``graph`` or ``vectors`` builds them on first
+    access (the vectors with a dense ``decompose`` of the graph), then keeps
+    them.
 
     ``memo`` holds results that consumers derive from the decomposition and
     keep with it (the certifier's gate table). repr leaves it out, and a
@@ -76,6 +77,7 @@ class SpectralDecomposition:
     warnings: tuple[str, ...] = ()
     exact: StellarAnalysis | None = None
     quotient: Quotient | None = field(default=None, repr=False)
+    source: Graph | None = field(default=None, repr=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -91,14 +93,22 @@ class SpectralDecomposition:
         return tuple(int(d) for d in np.diff(self.bounds))
 
     @cached_property
+    def graph(self) -> Graph:
+        """The graph decomposed: ``source``, or for a quotient-backed
+        X(a, k, c) the one ``build_stellar`` makes of its triple."""
+        if self.source is not None:
+            return self.source
+        e = self.exact
+        return build_stellar(e.a, e.k, e.c)
+
+    @cached_property
     def vectors(self) -> np.ndarray:
         """The (n, n) eigenvectors: ``factors``, or for a quotient-backed
-        X(a, k, c) those of ``decompose``, which must fall into clusters of
-        multiplicities 1, 1, n - 4, 1, 1."""
+        X(a, k, c) those of ``decompose(graph)``, which must fall into
+        clusters of multiplicities 1, 1, n - 4, 1, 1."""
         if self.factors is not None:
             return self.factors
-        e = self.exact
-        D = decompose(build_stellar(e.a, e.k, e.c))
+        D = decompose(self.graph)
         if D.bounds != self.bounds:
             raise ArithmeticError("unexpected eigenvalue multiplicities")
         return D.vectors
@@ -120,10 +130,6 @@ class SpectralDecomposition:
             return (q.vectors[cells], q.vectors, tuple(range(self.m + 1)),
                     q.sizes)
         return self.vectors[rows], self.vectors, self.bounds, None
-
-    def adjacency(self) -> np.ndarray:
-        thetas = np.repeat(self.eigenvalues, self.multiplicities)
-        return (self.vectors * thetas) @ self.vectors.T
 
     def projector_rows(self, rows: list[int] | slice) -> np.ndarray:
         """The (len(rows), n, m) entries [i, v, r] = (E_r)_{rows[i], v}."""
@@ -148,26 +154,6 @@ def _group_eigenvalues(desc: np.ndarray,
                 f"grouping threshold {threshold:.3e}" for gap in gaps
                 if threshold / 10 <= gap <= threshold * 10]
     return bounds, warnings
-
-
-def _is_connected(A: np.ndarray) -> bool:
-    """Stack search over the entries that round to a nonzero weight
-    (|x| > 0.5, as round() takes 0.5 to 0), in O(n + |E|) steps after one
-    pass over A."""
-    n = A.shape[0]
-    rows, cols = np.nonzero(np.abs(A) > 0.5)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
-    seen = [True] + [False] * (n - 1)
-    stack, reached = [0], 1
-    while stack:
-        u = stack.pop()
-        for w in cols[starts[u]:starts[u + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                stack.append(w)
-    return reached == n
 
 
 def _sides(X: Graph) -> tuple[bool, list[int] | None]:
@@ -220,26 +206,14 @@ def _bipartite_eigh(A: np.ndarray,
     return np.concatenate([s, np.zeros(n - 2 * k), -s[::-1]]), V
 
 
-def decompose(X: Graph | np.ndarray) -> SpectralDecomposition:
+def decompose(X: Graph) -> SpectralDecomposition:
     """Numeric spectral decomposition with gap-based eigenvalue grouping.
 
-    A bipartite ``Graph`` on at least ``_SVD_MIN_VERTICES`` vertices is
-    solved by the SVD of its half-size block, any other input by ``eigh``.
+    A bipartite graph on at least ``_SVD_MIN_VERTICES`` vertices is solved
+    by the SVD of its half-size block, any other graph by ``eigh``.
     """
-    if isinstance(X, Graph):  # 0/1 and symmetric by construction
-        A, (connected, side) = X.adjacency(), _sides(X)
-    else:
-        A = np.asarray(X, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-            raise ValueError("expected a nonempty square matrix")
-        if not np.isfinite(A).all():
-            raise ValueError("matrix entries must be finite")
-        # np.allclose(A, A.T) as one fused test; equal for finite entries
-        if not np.array_equal(A, A.T) and \
-                not (np.abs(A - A.T) <= 1e-8 + 1e-5 * np.abs(A.T)).all():
-            raise ValueError("matrix must be symmetric")
-        connected, side = _is_connected(A), None
-    by_svd = side is not None and A.shape[0] >= _SVD_MIN_VERTICES
+    A, (connected, side) = X.adjacency(), _sides(X)
+    by_svd = side is not None and X.n >= _SVD_MIN_VERTICES
     if by_svd:
         vals, vecs = _bipartite_eigh(A, side)
     else:
@@ -256,7 +230,8 @@ def decompose(X: Graph | np.ndarray) -> SpectralDecomposition:
         # the clusters mirror each other; their means are made to as well
         eigenvalues = (eigenvalues - eigenvalues[::-1]) / 2
     return SpectralDecomposition(tuple(eigenvalues.tolist()), vecs,
-                                 tuple(bounds), connected, tuple(warnings))
+                                 tuple(bounds), connected, tuple(warnings),
+                                 source=X)
 
 
 def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,

@@ -18,7 +18,6 @@ from .graphs import Graph, induced_subgraph
 from .revival import FRObservation, _fr_observation
 from .spectral import (SpectralDecomposition, _stellar_decomposition,
                        transition_rows)
-from .states import subset_state
 from .stellar import analyze
 
 DEFAULT_TRANSFER_TOL = 1e-8
@@ -57,11 +56,6 @@ class SubsetTransferReport:
         }
 
 
-def _recovered_graph(D: SpectralDecomposition) -> Graph:
-    A = np.round(D.adjacency())
-    return Graph.from_edges(D.n, np.argwhere(np.triu(A, 1)).tolist())
-
-
 def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
                            t: float,
                            tol: float = DEFAULT_TRANSFER_TOL) -> SubsetTransferReport:
@@ -73,14 +67,16 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
     S, T = set(S), set(T)
     if not S or not T:
         raise ValueError("subsets must be nonempty")
-    DT = subset_state(T, D.n).entries
     union = sorted(S | T)
     if union[0] < 0 or union[-1] >= D.n:
         raise ValueError("vertex out of range")
     rows = transition_rows(D, union, t)
     at = {v: i for i, v in enumerate(union)}
     W = rows[[at[v] for v in sorted(S)]]
-    residual = float(np.abs(W.T @ W.conj() - DT).max())
+    R = W.T @ W.conj()
+    diagonal = sorted(T)
+    R[diagonal, diagonal] -= 1  # - D_T
+    residual = float(np.abs(R).max())
 
     groups = [sorted(S - T), sorted(S & T), sorted(T - S),
               sorted(set(range(D.n)) - S - T)]
@@ -94,8 +90,7 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
         block = rows[np.ix_([at[v] for v in groups[i]], groups[j])]
         pattern.append(bool(np.abs(block).max() < tol))
 
-    X = _recovered_graph(D)
-    cosp, comp_cosp = induced_cospectrality(X, S, T)
+    cosp, comp_cosp = induced_cospectrality(D.graph, S, T)
     return SubsetTransferReport(frozenset(S), frozenset(T), float(t),
                                 residual, tuple(pattern), cosp, comp_cosp, tol)
 

@@ -1,7 +1,7 @@
 import pytest
 
-from referees import projectors
-from revival_lab.graphs import Graph, build_path
+from referees import build_path, projectors
+from revival_lab.graphs import Graph
 from revival_lab.spectral import decompose, stellar_decompose
 
 

@@ -18,14 +18,59 @@ import numpy as np
 
 from revival_lab.graphs import Graph, stellar_cells
 from revival_lab.spectral import SpectralDecomposition, transition_rows
-from revival_lab.states import StateMatrix, SupportGraph
+from revival_lab.states import SupportGraph
+
+# A state is a dense matrix, or a vertex set S standing for the 0/1 diagonal
+# D_S (what ``subset_state`` returns).
+State = np.ndarray | frozenset[int] | set[int]
 
 
-def _array(rho: StateMatrix | np.ndarray) -> np.ndarray:
-    return rho.entries if isinstance(rho, StateMatrix) else np.asarray(rho)
+def state_matrix(S: set[int] | frozenset[int], n: int) -> np.ndarray:
+    """The dense n x n indicator D_S."""
+    d = np.zeros(n)
+    d[sorted(S)] = 1.0
+    return np.diag(d)
+
+
+def _array(rho: State, n: int) -> np.ndarray:
+    return (state_matrix(rho, n) if isinstance(rho, (set, frozenset))
+            else np.asarray(rho))
+
+
+# --- graphs ------------------------------------------------------------------
+
+def build_star(leaves: int) -> Graph:
+    """Star K_{1,leaves} with the center at index 0."""
+    if leaves < 1:
+        raise ValueError("a star needs at least one leaf")
+    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def build_path(n: int) -> Graph:
+    """Path P_n with consecutive indices adjacent."""
+    if n < 1:
+        raise ValueError("a path needs at least one vertex")
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cartesian_product(X: Graph, Y: Graph) -> Graph:
+    """Cartesian product; vertex (x, y) maps to index x * Y.n + y."""
+    n = Y.n
+    edges = []
+    for x in range(X.n):
+        edges += [(x * n + u, x * n + v) for u, v in Y.edges]
+    for u, v in X.edges:
+        edges += [(u * n + y, v * n + y) for y in range(n)]
+    return Graph.from_edges(X.n * Y.n, edges)
 
 
 # --- the walk and the projectors -------------------------------------------
+
+def adjacency(D: SpectralDecomposition) -> np.ndarray:
+    """A = V diag(theta) V^T, rebuilt from the decomposition's factors."""
+    thetas = np.repeat(D.eigenvalues, D.multiplicities)
+    return (D.vectors * thetas) @ D.vectors.T
+
 
 def transition_matrix(D: SpectralDecomposition, t: float) -> np.ndarray:
     """U(t) = exp(itA), every row."""
@@ -44,31 +89,28 @@ def projectors(D: SpectralDecomposition) -> list[np.ndarray]:
             for lo, hi in zip(D.bounds, D.bounds[1:])]
 
 
-def is_periodic(D: SpectralDecomposition, rho: StateMatrix | np.ndarray,
-                t: float, tol: float = 1e-8) -> bool:
+def is_periodic(D: SpectralDecomposition, rho: State, t: float,
+                tol: float = 1e-8) -> bool:
     """Whether U(t) commutes with the state rho."""
-    M, U = _array(rho), transition_matrix(D, t)
+    M, U = _array(rho, D.n), transition_matrix(D, t)
     return bool(np.abs(U @ M - M @ U).max() < tol)
 
 
-def average_state_equality(D: SpectralDecomposition,
-                           rho1: StateMatrix | np.ndarray,
-                           rho2: StateMatrix | np.ndarray,
-                           tol: float = 1e-8) -> bool:
+def average_state_equality(D: SpectralDecomposition, rho1: State,
+                           rho2: State, tol: float = 1e-8) -> bool:
     """Whether E_r rho1 E_r = E_r rho2 E_r for every projector."""
-    M1, M2 = _array(rho1), _array(rho2)
+    M1, M2 = _array(rho1, D.n), _array(rho2, D.n)
     return all(float(np.abs(P @ M1 @ P - P @ M2 @ P).max()) < tol
                for P in projectors(D))
 
 
-def induced_transfer_check(D: SpectralDecomposition,
-                           rho1: StateMatrix | np.ndarray,
-                           rho2: StateMatrix | np.ndarray, t: float,
+def induced_transfer_check(D: SpectralDecomposition, rho1: State,
+                           rho2: State, t: float,
                            tol: float = 1e-8) -> tuple[tuple[bool, ...], bool]:
     """Per eigenvalue, whether U(t) rho1 E_r rho1 U(-t) = rho2 E_r rho2;
     and the composite U(t) rho1^2 U(-t) = rho2^2, which holds whenever
     every per-eigenvalue check does."""
-    M1, M2 = _array(rho1), _array(rho2)
+    M1, M2 = _array(rho1, D.n), _array(rho2, D.n)
     U = transition_matrix(D, t)
 
     def moves(X1: np.ndarray, X2: np.ndarray) -> bool:

@@ -219,7 +219,7 @@ class TestProductCommand:
 
 class TestSubsetCommand:
     def test_ladder_transfer(self, tmp_path):
-        from revival_lab.graphs import build_path, cartesian_product
+        from referees import build_path, cartesian_product
         Z = cartesian_product(build_path(2), build_path(3))
         path = tmp_path / "ladder.json"
         path.write_text(graph_to_json(Z))
@@ -231,7 +231,7 @@ class TestSubsetCommand:
         assert doc["residual"] < 1e-9
 
     def test_no_transfer_exit_one(self, tmp_path):
-        from revival_lab.graphs import build_path
+        from referees import build_path
         path = tmp_path / "p3.json"
         path.write_text(graph_to_json(build_path(3)))
         code, _ = run_cli(["subset", "--graph", str(path),
@@ -307,7 +307,7 @@ def test_version_matches_pyproject():
 
 
 def _ladder_subset(tmp_path, *extra):
-    from revival_lab.graphs import build_path, cartesian_product
+    from referees import build_path, cartesian_product
     path = tmp_path / "ladder.json"
     path.write_text(graph_to_json(cartesian_product(build_path(2), build_path(3))))
     # 2.2214415 is pi/sqrt(2) to 8 digits: the residual is about 3e-8
@@ -378,3 +378,28 @@ def test_import_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--stellar", "1,100000,2", "--format", "dot", "--state", "0,1"],
+    ["subset", "--stellar", "1,100000,2", "--s", "0", "--t", "1",
+     "--time", "1"]])
+def test_memory_error_exit_two(argv):
+    """An n x n array for n = 100,005 takes 75 GiB or more: under a 3 GB
+    address-space cap the command says so and exits 2, with no traceback.
+    The cap is set in a child process, where the allocation fails at once;
+    without one it could succeed lazily and exhaust the machine."""
+    import resource
+
+    def capped():
+        cap = 3 * 10**9
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(revival_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "revival_lab.cli", *argv],
+                          env=env, preexec_fn=capped, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in done.stderr

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from referees import poly_mul, poly_sub
+from referees import build_path, poly_mul, poly_sub
 from revival_lab import exact
 from revival_lab.exact import (charpoly_int, fermat_two_squares, is_prime,
                                rationalize, square_free_part,
                                two_adic_valuation)
-from revival_lab.graphs import Graph, build_path, build_stellar
+from revival_lab.graphs import Graph, build_stellar
 from revival_lab.spectral import char_poly_suite
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from referees import is_equitable, stellar_partition, symmetrized_quotient
-from revival_lab.graphs import (Graph, build_path, build_star, build_stellar,
-                                cartesian_product, graph_from_graph6,
+from referees import (build_path, build_star, cartesian_product, is_equitable,
+                      stellar_partition, symmetrized_quotient)
+from revival_lab.graphs import (Graph, build_stellar, graph_from_graph6,
                                 graph_from_json, graph_to_dot, graph_to_json,
                                 induced_subgraph, stellar_cells)
 

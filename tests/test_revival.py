@@ -10,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from referees import components, double_star_tree, is_complete_with_loops
+from referees import (build_path, build_star, components, double_star_tree,
+                      is_complete_with_loops)
 from revival_lab import revival
-from revival_lab.graphs import Graph, build_path, build_stellar
+from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import (RevivalCertificate, _fr_observation,
                                  _pair_entries, certify_fr, verify_fr_at)
 from revival_lab.spectral import decompose, stellar_decompose, transition_rows
@@ -36,7 +37,6 @@ class TestCospectralParallel:
 
     def test_star_leaves_not_parallel(self):
         # repeated zero eigenvalue: the leaf pair block has rank 2
-        from revival_lab.graphs import build_star
         assert not certify_fr(decompose(build_star(3)), 1, 2).parallel
 
     def test_exact_centers_cospectral_iff_a_equals_c(self):

@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from referees import (poly_sub, projectors, stellar_center_blocks,
-                      stellar_partition, surd_values, symmetrized_quotient,
-                      theta_squares, transition_matrix, unitarity_error)
+from referees import (adjacency, build_path, build_star, poly_sub, projectors,
+                      stellar_center_blocks, stellar_partition, surd_values,
+                      symmetrized_quotient, theta_squares, transition_matrix,
+                      unitarity_error)
 from revival_lab.exact import charpoly_int
-from revival_lab.graphs import Graph, build_path, build_star, build_stellar
+from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
                                   stellar_decompose, transition_rows)
@@ -42,28 +43,20 @@ class TestDecompose:
         for r in range(D.m):
             for s in range(r + 1, D.m):
                 assert np.abs(E[r] @ E[s]).max() < 1e-9
-        assert np.abs(D.adjacency() - X.adjacency()).max() < 1e-8
+        assert np.abs(adjacency(D) - X.adjacency()).max() < 1e-8
 
     def test_multiplicities_sum(self):
         D = decompose(build_star(5))
         assert sum(D.multiplicities) == 6
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_finite(self):
-        for x, y in [(np.nan, np.nan), (np.inf, np.inf), (np.inf, -np.inf),
-                     (1.0, np.nan)]:
-            with pytest.raises(ValueError, match="finite"):
-                decompose(np.array([[0.0, x], [y, 0.0]]))
-
-    def test_connectivity_reads_rounded_weights(self):
-        # a weight rounds to an edge when |w| > 0.5; round() takes 0.5 to 0
-        for w, connected in [(0.5, False), (-0.5, False), (0.51, True),
-                             (-0.7, True), (1.0, True)]:
-            A = np.array([[0, 1, 0], [1, 0, w], [0, w, 0]], dtype=float)
-            assert decompose(A).connected is connected, w
+    def test_keeps_its_graph(self):
+        X = build_stellar(3, 2, 6)
+        D = decompose(X)
+        assert D.graph is X and "edges" not in repr(D)
+        # a fused star builds its graph from its triple, on first access
+        D = stellar_decompose(3, 2, 6)
+        assert "graph" not in vars(D)
+        assert D.graph == X and D.graph is D.graph
 
     def test_equality_and_hash_by_identity(self):
         D, D2 = decompose(build_path(3)), decompose(build_path(3))
@@ -173,11 +166,11 @@ class TestStellarDecompose:
                             lambda a, k, c: build_path(a + k + c + 2))
         assert certify_fr(D, 0, 1).verdict == "proper-FR"
         with pytest.raises(ArithmeticError, match="multiplicities"):
-            D.adjacency()
+            adjacency(D)
 
     def test_reconstruction(self):
         D = stellar_decompose(3, 2, 6)
-        assert np.abs(D.adjacency() - build_stellar(3, 2, 6).adjacency()).max() < 1e-8
+        assert np.abs(adjacency(D) - build_stellar(3, 2, 6).adjacency()).max() < 1e-8
 
 
 class TestCharPolySuite:
@@ -222,9 +215,9 @@ class TestCharPolySuite:
 
 def test_grouping_warning_near_threshold():
     # two eigenvalues separated by just above the threshold trigger a warning
-    A = np.diag([0.0, 1e-8])
-    D = decompose(A)
-    assert D.m == 2 and D.warnings
+    from revival_lab.spectral import GROUPING_TOL, _group_eigenvalues
+    bounds, warnings = _group_eigenvalues(np.array([1e-8, 0.0]), GROUPING_TOL)
+    assert bounds == [0, 1, 2] and warnings
 
 
 class TestFactoredParity:
@@ -241,7 +234,7 @@ class TestFactoredParity:
     def test_adjacency_and_transition_matrix(self, parity_cases):
         for name, D, E, _ in parity_cases:
             A = sum(th * P for th, P in zip(D.eigenvalues, E))
-            assert np.abs(D.adjacency() - A).max() < 1e-12, name
+            assert np.abs(adjacency(D) - A).max() < 1e-12, name
             for t in (0.7, 2.9):
                 U = sum(np.exp(1j * t * th) * P for th, P in zip(D.eigenvalues, E))
                 assert np.abs(transition_matrix(D, t) - U).max() < 1e-12, name
@@ -334,7 +327,7 @@ class TestStellarQuotient:
                     out) == 1
         assert json.loads(out.getvalue())["certificate"]["pair"] == [0, 1]
         with pytest.raises(AssertionError, match="(eigh|svd) of size"):
-            D.adjacency()
+            adjacency(D)
 
 
 class TestBipartiteSolver:
@@ -352,9 +345,8 @@ class TestBipartiteSolver:
 
         out = []
         for name, D, _, _ in parity_cases:
-            g = nx.from_numpy_array(np.round(D.adjacency()))
-            if nx.is_bipartite(g):
-                out.append((name, graph(g)))
+            if nx.is_bipartite(nx.Graph(list(D.graph.edges))):
+                out.append((name, D.graph))
         for i, g in enumerate(nx.graph_atlas_g()[1:], start=1):
             if nx.is_connected(g) and nx.is_bipartite(g):
                 out.append((f"atlas {i}", graph(g)))
@@ -374,7 +366,9 @@ class TestBipartiteSolver:
         def no_eigh(*args, **kwargs):
             raise AssertionError("eigh on the SVD path")
 
-        ref = decompose(X.adjacency())  # matrix input: always eigh
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_SVD_MIN_VERTICES", X.n + 1)
+            ref = decompose(X)
         with monkeypatch.context() as m:
             m.setattr(spectral, "_SVD_MIN_VERTICES", 1)
             m.setattr(np.linalg, "eigh", no_eigh)
@@ -425,8 +419,9 @@ class TestBipartiteSolver:
         odd = n | 1
         decompose(build_path(n - 1))
         decompose(build_path(n))
-        decompose(build_path(n).adjacency())
         cycle = [(i, (i + 1) % odd) for i in range(odd)]
         decompose(Graph.from_edges(odd, cycle))
-        # below the crossover, matrix input and odd cycles keep eigh
+        monkeypatch.setattr(spectral, "_SVD_MIN_VERTICES", n + 1)
+        decompose(build_path(n))
+        # below the crossover and for odd cycles, eigh stays
         assert calls == ["eigh", "svd", "eigh", "eigh"]

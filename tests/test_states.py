@@ -3,44 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from referees import (components, is_complete_with_loops, is_periodic,
-                      isolated_loopless)
-from revival_lab.graphs import build_path
+from referees import (build_path, components, is_complete_with_loops,
+                      is_periodic, isolated_loopless, state_matrix)
 from revival_lab.spectral import decompose, stellar_decompose
-from revival_lab.states import (StateMatrix, subset_state, support_graph,
-                                support_graph_to_dot)
+from revival_lab.states import subset_state, support_graph, support_graph_to_dot
 
 
 class TestStateMatrix:
-    def test_accepts_psd(self):
-        StateMatrix(np.diag([1.0, 0.0, 2.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            StateMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            StateMatrix(np.diag([1.0, -0.5]))
-
-    def test_diagonal_read_off_its_diagonal(self, monkeypatch):
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def counting(M, *args, **kwargs):
-            calls.append(np.shape(M))
-            return real(M, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        with pytest.raises(ValueError, match="semidefinite"):
-            StateMatrix(np.diag([1.0, -1e-9, 0.0]))
-        StateMatrix(np.diag([1.0, -1e-11, 0.0]))  # within PSD_TOL
-        subset_state({0, 2}, 5)
-        assert calls == []
-        StateMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        with pytest.raises(ValueError, match="semidefinite"):
-            StateMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert calls == [(2, 2), (2, 2)]
+    """The state matrix D_S of a vertex set, held as the set S itself."""
 
     def test_subset_state_validation(self):
         with pytest.raises(ValueError):
@@ -48,9 +18,13 @@ class TestStateMatrix:
         with pytest.raises(ValueError):
             subset_state({3}, 3)
 
+    def test_state_is_its_vertex_set(self):
+        assert subset_state([2, 0, 2], 5) == frozenset({0, 2})
+        assert type(subset_state({1}, 2)) is frozenset
+
 
 class TestEigenvalueSupport:
-    """The pairs (r, s) with E_r rho E_s nonzero, read as the loops and
+    """The pairs (r, s) with E_r D_S E_s nonzero, read as the loops and
     edges of the support graph."""
 
     def test_vertex_state_full_support_on_path(self):
@@ -66,13 +40,10 @@ class TestEigenvalueSupport:
         assert {round(D.eigenvalues[r]) for r in active} == {3, 2, -2, -3}
 
     def test_matches_explicit_projectors(self, parity_cases):
-        rng = np.random.default_rng(3)
         for name, D, E, pairs in parity_cases:
-            R = rng.standard_normal((D.n, 2))
-            states = [R @ R.T] + [subset_state(S, D.n).entries
-                                  for S in pairs[:3] + [(0,), (D.n - 1,)]]
             stack = np.array(E)
-            for M in states:
+            for S in pairs[:3] + [(0,), (D.n - 1,)]:
+                M = state_matrix(S, D.n)
                 threshold = 1e-8 * np.abs(M).max()
                 # entry [r, s] is max |E_r M E_s|
                 peaks = np.abs((stack @ M)[:, None] @ stack[None]).max(axis=(2, 3))
@@ -82,12 +53,12 @@ class TestEigenvalueSupport:
                         loops.add(r)
                     else:
                         edges.add((min(r, s), max(r, s)))
-                G = support_graph(D, M)
+                G = support_graph(D, subset_state(S, D.n))
                 assert (G.loops, G.edges) == (loops, edges), name
 
     def test_identity_sees_only_loops(self):
         D = decompose(build_path(3))
-        G = support_graph(D, np.eye(3))
+        G = support_graph(D, subset_state(range(3), 3))
         assert G.loops == {0, 1, 2} and not G.edges
 
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from referees import (average_state_equality, induced_transfer_check,
-                      is_periodic, projectors, transition_matrix)
-from revival_lab.graphs import build_path, build_stellar, cartesian_product
+from referees import (average_state_equality, build_path, cartesian_product,
+                      induced_transfer_check, is_periodic, projectors,
+                      state_matrix, transition_matrix)
+from revival_lab.graphs import build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
-from revival_lab.spectral import decompose
+from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import subset_state
 from revival_lab.transfer import (ZERO_BLOCKS, detect_subset_transfer,
                                   induced_cospectrality, polygamy_witness)
@@ -63,6 +64,27 @@ class TestDetectSubsetTransfer:
     def test_rejects_empty(self, ladder):
         with pytest.raises(ValueError):
             detect_subset_transfer(ladder, set(), {1}, 1.0)
+
+    def test_fused_star_reads_its_graph(self, monkeypatch):
+        """The rows of U(t) on the centers come from the 5-cell quotient, and
+        the induced subgraphs from the graph the decomposition keeps: no
+        eigen-solve of size n = 13."""
+        D = stellar_decompose(3, 2, 6)
+        real = np.linalg.eigh
+
+        def small_only(A, *args, **kwargs):
+            if max(np.shape(A)) > 5:
+                raise AssertionError(f"eigh of size {np.shape(A)}")
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only)
+        doc = detect_subset_transfer(D, {0}, {1}, math.pi).to_json_dict()
+        assert doc.pop("residual") == pytest.approx(0.48, abs=1e-12)
+        assert doc == {"S": [0], "T": [1], "t": math.pi,
+                       "block_zero_pattern": [False, True, True, True,
+                                              True, True, False, True],
+                       "induced_cospectral": True,
+                       "complement_cospectral": False, "is_transfer": False}
 
 
 class TestInducedCospectrality:
@@ -163,7 +185,7 @@ class TestInducedTransferCheck:
         # D_S periodic at t implies each D_S E_r D_S periodic at t
         D = decompose(cartesian_product(build_path(2), build_path(3)))
         t = 2 * math.pi / ROOT2
-        DS = subset_state({0, 3}, 6).entries
+        DS = state_matrix({0, 3}, 6)
         U = transition_matrix(D, t)
         assert is_periodic(D, DS, t)
         for E in projectors(D):
