@@ -67,10 +67,13 @@ def parse_triple(text: str) -> tuple[int, int, int]:
 
 
 def parse_range(text: str) -> range:
-    """Parse "3" or "1..5" into an inclusive integer range."""
+    """Parse "3" or "1..5" into an inclusive integer range; "5..1" is an
+    input error, not an empty range."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if hi < lo:
+            raise ValueError(f"range {text!r} ends before it starts")
+        return range(lo, hi + 1)
     v = int(text)
     return range(v, v + 1)
 

@@ -216,43 +216,70 @@ def _primes_below(bits: int, block: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _charpoly_mod(H: np.ndarray, p: int) -> np.ndarray:
-    """det(tI - H) mod p, ascending, for an int64 matrix H with entries in
-    [0, p). H is reduced in place to upper Hessenberg form by similarity
-    (Cohen, A Course in Computational Algebraic Number Theory, alg. 2.2.9).
-    Callers keep n * p**2 below 2**63, so no int64 sum can overflow.
+# The int64 bytes of one pass of _charpoly_mod: the (matrix, prime) slices
+# of a stack past it run in further passes. At n = 1,000 a pass holds 4.
+_PASS_BYTES = 1 << 25
+
+
+def _charpoly_mod(H: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """det(tI - H[i]) mod p[i], ascending, for each slice i of an int64
+    stack H of shape (s, n, n) with entries in [0, p[i]); returns the
+    (s, n + 1) residues. Each slice is reduced in place to upper Hessenberg
+    form by similarity (Cohen, A Course in Computational Algebraic Number
+    Theory, alg. 2.2.9) with its own pivots: a slice whose pivot is 0 swaps
+    in its first nonzero row below, and one with none below eliminates
+    nothing. The steps of column j run on the rows from the first that is
+    nonzero in any slice, with factor 0 where a slice's entry is 0. Callers
+    keep n * p**2 + p below 2**63, so no int64 sum can overflow.
     """
-    n = len(H)
+    s, n, _ = H.shape
+    primes = p.tolist()
+    p2, p3 = p[:, None], p[:, None, None]
     for j in range(n - 2):
-        nonzero = H[j + 1:, j].nonzero()[0]
-        if nonzero.size == 0:
+        below = H[:, j + 2:, j].T.nonzero()[0]
+        if below.size == 0:
             continue
-        i = j + 1 + int(nonzero[0])
-        if i != j + 1:
-            H[[i, j + 1], :] = H[[j + 1, i], :]
-            H[:, [i, j + 1]] = H[:, [j + 1, i]]
-        rows = j + 2 + H[j + 2:, j].nonzero()[0]
-        if rows.size == 0:
-            continue
-        f = H[rows, j] * pow(int(H[j + 1, j]), -1, p) % p
-        # row i > j+1 loses f_i times row j+1, and column j+1 gains f_i
+        lo = j + 2 + int(below[0])
+        inverses = []
+        for t, (x, q) in enumerate(zip(H[:, j + 1, j].tolist(), primes)):
+            if not x:
+                rows = H[t, j + 2:, j].nonzero()[0]
+                if rows.size:
+                    i = j + 2 + int(rows[0])
+                    H[t, [i, j + 1]] = H[t, [j + 1, i]]
+                    H[t, :, [i, j + 1]] = H[t, :, [j + 1, i]]
+                    x = int(H[t, j + 1, j])
+            inverses.append(pow(x, -1, q) if x else 0)
+        f = H[:, lo:, j] * np.array(inverses)[:, None] % p2
+        # row i >= lo loses f_i times row j+1, and column j+1 gains f_i
         # times column i, which undoes the row step on the other side
-        H[rows, j:] = (H[rows, j:] - np.outer(f, H[j + 1, j:])) % p
-        H[:, j + 1] = (H[:, j + 1] + H[:, rows] @ f) % p
-    # P[m] = det(tI - H[:m, :m]); w[i] = H[i+1, i] * ... * H[m-1, m-2]
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    w = np.zeros(0, dtype=np.int64)
-    for m in range(n):
+        block = H[:, lo:, j:]
+        block -= f[:, :, None] * H[:, j + 1, None, j:]
+        block %= p3
+        column = H[:, :, j + 1]
+        column += (H[:, :, lo:] @ f[:, :, None])[:, :, 0]
+        column %= p2
+    # P[m+1] = det(tI - H[:m+1, :m+1]) = t P[m] - sum_{i<=m} H[i, m] w[i] P[i]
+    # with w[i] = H[i+1, i] * ... * H[m, m-1] and w[m] = 1; the sum starts
+    # at first[m], the first row of column m that is nonzero in any slice
+    upper = np.triu((H != 0).any(axis=0))
+    first = np.where(upper.any(axis=0), upper.argmax(axis=0),
+                     np.arange(1, n + 1)).tolist()
+    P = np.zeros((s, n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    w = np.ones((s, n), dtype=np.int64)
+    for m, lo in enumerate(first):
         if m:
-            w = np.append(w, 1) * H[m, m - 1] % p
-        P[m + 1, 1:] = P[m, :-1]
-        P[m + 1] -= H[m, m] * P[m] % p
-        # only nonzero H[i, m] contribute, and P[i] has degree i < m
-        used = H[:m, m].nonzero()[0]
-        P[m + 1, :m] -= (H[used, m] * w[used] % p) @ P[used, :m] % p
-        P[m + 1] %= p
-    return P[n]
+            w_m = w[:, :m]
+            w_m *= H[:, m, m - 1, None]
+            w_m %= p2
+        row = P[:, m + 1]
+        row[:, 1:] = P[:, m, :-1]
+        if lo <= m:
+            c = H[:, lo:m + 1, m] * w[:, lo:m + 1] % p2
+            row -= (c[:, None, :] @ P[:, lo:m + 1])[:, 0]
+            row %= p2
+    return P[:, n]
 
 
 def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
@@ -262,17 +289,19 @@ def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
     Hessenberg method: for each word-size prime p, A mod p is reduced to
     upper Hessenberg form by similarity and det(tI - A) mod p read from the
     Hessenberg recurrence (Cohen, ch. 2). The residues are combined by the
-    Chinese remainder theorem into symmetric residues until the product of
+    Chinese remainder theorem into symmetric residues once the product of
     the primes exceeds 2 C(n, k) (F/n)**(k/2) for every k, where F is the
     sum of the squared entries. |c_{n-k}| is the k-th elementary symmetric
     function of the eigenvalues, so it is at most C(n, k) mean|lambda|**k
     by Maclaurin's inequality, and mean|lambda|**2 <= F/n by Schur's. The
     symmetric residue is then the coefficient itself: the result is exact,
-    not probabilistic. Cost: O(n**3) int64 work per prime, and the bound is
-    at most (1 + sqrt(F/n))**n, so about n * log2(1 + sqrt(F/n)) / 27
-    primes of 27 bits at n = 200. As F <= n R**2, R the largest absolute
-    row sum, that is never more than the n * log2(1 + R) / 27 primes of the
-    row-sum bound C(n, k) R**k.
+    not probabilistic. Cost: O(n**3) int64 work per prime, with the primes
+    planned up front and reduced as one stack, so each numpy step of the
+    reduction serves all of them (a stack past 2**25 bytes takes further
+    passes). The bound is at most (1 + sqrt(F/n))**n, so about
+    n * log2(1 + sqrt(F/n)) / 27 primes of 27 bits at n = 200. As
+    F <= n R**2, R the largest absolute row sum, that is never more than
+    the n * log2(1 + R) / 27 primes of the row-sum bound C(n, k) R**k.
     """
     n = len(A)
     if n == 0:
@@ -284,24 +313,56 @@ def charpoly_int(A: Sequence[Sequence[int]]) -> list[int]:
         entries = np.array([[int(x) for x in row] for row in A], dtype=object)
     if entries.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    F = sum(x * x for x in entries[entries != 0].tolist())
-    # modulus > 2 C(n, k) (F/n)**(k/2) exactly when modulus**2 exceeds the
-    # floor of 4 C(n, k)**2 F**k / n**k, since modulus**2 is an integer
-    need = max(4 * math.comb(n, k) ** 2 * F**k // n**k for k in range(n + 1))
+    return _charpolys_int(entries[None])[0]
+
+
+def _charpolys_int(stack: np.ndarray) -> list[list[int]]:
+    """charpoly_int of each matrix of an int64 or object stack of shape
+    (s, n, n), n >= 1. Each matrix gets the primes of its own bound, and all
+    (matrix, prime) slices run through _charpoly_mod together, one pass per
+    _PASS_BYTES of them."""
+    s, n, _ = stack.shape
     # n * p**2 + p < 2**63 for every p < 2**bits
     bits = (62 - n.bit_length()) // 2
-    coeffs, modulus = [0] * (n + 1), 1
-    primes = (p for block in itertools.count()
-              for p in _primes_below(bits, block))
-    for p in primes:
-        H = (entries % p).astype(np.int64, copy=False)
-        residues = _charpoly_mod(H, p).tolist()
-        # Garner step: lift coeffs mod `modulus` to coeffs mod modulus * p
-        inv = pow(modulus % p, -1, p)
-        coeffs = [c + modulus * ((r - c) * inv % p)
-                  for c, r in zip(coeffs, residues)]
-        modulus *= p
-        if modulus * modulus > need:
+    needs = []
+    for M in stack:
+        F = sum(x * x for x in M[M != 0].tolist())
+        # modulus > 2 C(n, k) (F/n)**(k/2) exactly when modulus**2 exceeds
+        # the floor of 4 C(n, k)**2 F**k / n**k, since modulus**2 is an
+        # integer
+        needs.append(max(4 * math.comb(n, k) ** 2 * F**k // n**k
+                         for k in range(n + 1)))
+    # moduli[c] is the product of the first c primes; matrix i takes the
+    # fewest primes, at least one, whose product squared exceeds needs[i]
+    primes, moduli = [], [1]
+    for p in (p for block in itertools.count()
+              for p in _primes_below(bits, block)):
+        primes.append(p)
+        moduli.append(moduli[-1] * p)
+        if moduli[-1] ** 2 > max(needs):
             break
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in coeffs]
+    counts = [next(c for c, m in enumerate(moduli) if c and m * m > need)
+              for need in needs]
+    owner = np.repeat(np.arange(s), counts)
+    slice_primes = np.array([p for c in counts for p in primes[:c]],
+                            dtype=np.int64)
+    per_pass = max(1, _PASS_BYTES // (8 * n * n))
+    residues: list[list[int]] = []
+    for at in range(0, len(owner), per_pass):
+        q = slice_primes[at:at + per_pass]
+        # object entries are reduced as Python ints, by Python int primes
+        H = stack[owner[at:at + len(q)]] % q.astype(stack.dtype)[:, None, None]
+        residues += _charpoly_mod(H.astype(np.int64, copy=False), q).tolist()
+    polys, at = [], 0
+    for c in counts:
+        coeffs, modulus = [0] * (n + 1), 1
+        for p, r in zip(primes[:c], residues[at:at + c]):
+            # Garner step: lift coeffs mod `modulus` to coeffs mod modulus * p
+            inv = pow(modulus % p, -1, p)
+            coeffs = [x + modulus * ((y - x) * inv % p)
+                      for x, y in zip(coeffs, r)]
+            modulus *= p
+        at += c
+        half = modulus // 2
+        polys.append([x - modulus if x > half else x for x in coeffs])
+    return polys

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import charpoly_int
+from .exact import _charpolys_int
 from .graphs import Graph, induced_subgraph
 from .revival import FRObservation, _fr_observation
 from .spectral import (SpectralDecomposition, _stellar_decomposition,
@@ -101,23 +101,22 @@ def induced_cospectrality(X: Graph, S: set[int],
     complements, by integer characteristic polynomials.
 
     Sets of different sizes have polynomials of different degrees, and so
-    have their complements. Each distinct vertex set is computed once: when
-    T is the complement of S, the four polynomials are two.
+    have their complements. Each distinct vertex set is computed once (when
+    T is the complement of S, the four polynomials are two), and the sets
+    of one size go through the exact kernel as one stack.
     """
     S, T = frozenset(S), frozenset(T)
     if len(S) != len(T):
         return False, False
-    polys: dict[frozenset[int], list[int]] = {frozenset(): [1]}
-
-    def charpoly_of(vertices: frozenset[int]) -> list[int]:
-        if vertices not in polys:
-            sub, _ = induced_subgraph(X, vertices)
-            polys[vertices] = charpoly_int(sub.adjacency().astype(int).tolist())
-        return polys[vertices]
-
     all_v = frozenset(range(X.n))
-    return (charpoly_of(S) == charpoly_of(T),
-            charpoly_of(all_v - S) == charpoly_of(all_v - T))
+    sets = {S, T, all_v - S, all_v - T} - {frozenset()}
+    polys: dict[frozenset[int], list[int]] = {frozenset(): [1]}
+    for size in {len(v) for v in sets}:
+        group = [v for v in sets if len(v) == size]
+        stack = np.array([induced_subgraph(X, v)[0].adjacency()
+                          for v in group], dtype=np.int64)
+        polys.update(zip(group, _charpolys_int(stack)))
+    return polys[S] == polys[T], polys[all_v - S] == polys[all_v - T]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import pytest
 import revival_lab
 from revival_lab import stellar
 
-from revival_lab.cli import main, parse_time, parse_triple, parse_vertex_set
+from revival_lab.cli import (main, parse_range, parse_time, parse_triple,
+                             parse_vertex_set)
 from revival_lab.graphs import build_stellar, graph_from_json, graph_to_json
 
 
@@ -202,6 +203,17 @@ class TestFamilyCommand:
                               "--count", "-1"])
         assert code == 2 and text == ""
         assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ranges", [
+        ["--polygamy", "5..1"],
+        ["--delta", "5", "--alpha", "5..1", "--beta-factor", "2"],
+        ["--delta", "1", "--alpha", "2..4", "--beta", "6..3"]])
+    def test_reversed_range_exit_two(self, capsys, ranges):
+        code, text = run_cli(["family", "--p", "5", *ranges])
+        assert code == 2 and text == ""
+        assert "ends before it starts" in capsys.readouterr().err
+        # a one-element range is still fine
+        assert parse_range("3..3") == range(3, 4)
 
 
 class TestProductCommand:

@@ -378,17 +378,19 @@ class TestCharpolyInt:
 
     @staticmethod
     def primes_used(monkeypatch, A):
-        calls = []
+        """charpoly_int(A) and the number of (matrix, prime) slices that
+        its kernel passes reduced."""
+        slices = []
         kernel = exact._charpoly_mod
 
         def counted(H, p):
-            calls.append(p)
+            slices.extend(p.tolist())
             return kernel(H, p)
 
         monkeypatch.setattr(exact, "_charpoly_mod", counted)
         coeffs = charpoly_int(A)
         monkeypatch.setattr(exact, "_charpoly_mod", kernel)
-        return coeffs, len(calls)
+        return coeffs, len(slices)
 
     def test_fused_stars_take_one_prime(self, monkeypatch):
         """Every X(a, k, c) on 14..20 vertices, the range stellar-family
@@ -424,11 +426,11 @@ class TestCharpolyInt:
         assert coeffs == per_prime_charpoly(A, row_sum_primes)
 
     def test_kernel_matches_per_prime_reference(self):
-        """Seeded random matrices, n = 1..40: the kernel gives the residues
-        of the pure-Python reference modulo each of three primes, and
-        charpoly_int the reference's polynomial. At every third n one entry
-        equals the first prime of the block: zero modulo that prime alone,
-        so the pivots differ between primes."""
+        """Seeded random matrices, n = 1..40: one stacked kernel pass gives
+        the residues of the pure-Python reference modulo each of three
+        primes, and charpoly_int the reference's polynomial. At every third
+        n one entry equals the first prime of the block: zero modulo that
+        prime alone, so the pivot of column 0 is zero in one slice only."""
         rng = random.Random(14)
         for n in range(1, 41):
             bits = (62 - n.bit_length()) // 2
@@ -437,11 +439,11 @@ class TestCharpolyInt:
                   for _ in range(n)] for _ in range(n)]
             if n % 3 == 0:
                 A[1][0], A[2][0] = 0, primes[0]
-            for p in primes:
-                H = [[x % p for x in row] for row in A]
-                assert exact._charpoly_mod(
-                    np.array(H, dtype=np.int64), p).tolist() \
-                    == per_prime_charpoly_mod(H, p), (n, p)
+            H = [[[x % p for x in row] for row in A] for p in primes]
+            residues = exact._charpoly_mod(
+                np.array(H, dtype=np.int64), np.array(primes)).tolist()
+            for h, p, r in zip(H, primes, residues):
+                assert r == per_prime_charpoly_mod(h, p), (n, p)
             # every coefficient is at most (1 + R)**n in absolute value
             R = max(sum(abs(x) for x in row) for row in A)
             need, modulus = [], 1
@@ -452,6 +454,59 @@ class TestCharpolyInt:
                 need.append(q)
                 modulus *= q
             assert charpoly_int(A) == per_prime_charpoly(A, need), n
+
+    def test_stack_pivots_are_per_slice(self):
+        """In column 0 one slice has nothing below its zero pivot while the
+        other has rows to eliminate: the first gets inverse 0 and keeps its
+        rows, and each slice still matches the per-prime reference."""
+        p, q = exact._primes_below(28, 0)[:2]
+        lone = [[0, 0, 0, 5], [0, 0, 7, 1], [0, 2, 0, 3], [0, 4, 6, 0]]
+        full = [[0, 0, 3, 1], [0, 1, 0, 2], [8, 0, 0, 5], [9, 6, 0, 0]]
+        H = np.array([lone, full, full], dtype=np.int64)
+        primes = np.array([p, p, q])
+        residues = exact._charpoly_mod(H.copy(), primes).tolist()
+        for h, prime, r in zip(H.tolist(), primes.tolist(), residues):
+            assert r == per_prime_charpoly_mod(h, prime)
+        rng = random.Random(25)
+        for n in range(2, 16):
+            primes = exact._primes_below(28, 0)[:5]
+            mats = [[[rng.choice((0, 0, 0, 1, rng.randint(0, 40)))
+                      for _ in range(n)] for _ in range(n)]
+                    for _ in primes]
+            H = [[[x % p for x in row] for row in M]
+                 for M, p in zip(mats, primes)]
+            residues = exact._charpoly_mod(
+                np.array(H, dtype=np.int64), np.array(primes)).tolist()
+            for h, p, r in zip(H, primes, residues):
+                assert r == per_prime_charpoly_mod(h, p), (n, p)
+
+    def test_byte_budget_cuts_passes(self, monkeypatch):
+        """A stack past _PASS_BYTES runs in several kernel passes with the
+        same polynomials: G(20, 0.5) takes several primes, and a budget of
+        two 20 x 20 slices cuts them and a second matrix into passes."""
+        rng = np.random.default_rng(20)
+        M = np.triu(rng.random((20, 20)) < 0.5, 1).astype(np.int64)
+        A = M + M.T
+        B = A.copy()
+        B[[0, 1]] = B[[1, 0]]
+        stack = np.array([A, 3 * B])
+        whole = exact._charpolys_int(stack)
+        assert whole == [charpoly_int(S.tolist()) for S in stack]
+        passes = []
+        kernel = exact._charpoly_mod
+
+        def counted(H, p):
+            passes.append(len(p))
+            return kernel(H, p)
+
+        monkeypatch.setattr(exact, "_charpoly_mod", counted)
+        monkeypatch.setattr(exact, "_PASS_BYTES", 2 * 8 * 20 * 20)
+        assert exact._charpolys_int(stack) == whole
+        assert len(passes) > 2 and max(passes) == 2
+        passes.clear()
+        monkeypatch.setattr(exact, "_PASS_BYTES", 1)
+        assert exact._charpolys_int(stack) == whole
+        assert set(passes) == {1}
 
 
 def test_poly_helpers():

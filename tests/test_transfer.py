@@ -6,7 +6,8 @@ import pytest
 from referees import (average_state_equality, build_path, cartesian_product,
                       induced_transfer_check, is_periodic, projectors,
                       state_matrix, transition_matrix)
-from revival_lab.graphs import build_stellar
+from revival_lab.exact import charpoly_int
+from revival_lab.graphs import Graph, build_stellar, induced_subgraph
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import subset_state
@@ -101,6 +102,52 @@ class TestInducedCospectrality:
         X = build_path(4)
         first, _ = induced_cospectrality(X, {0}, {0, 1})
         assert not first
+
+    @pytest.mark.parametrize("S,T", [({-1}, {0}), ({0, 1}, {2, 4})])
+    def test_vertex_out_of_range(self, S, T):
+        with pytest.raises(ValueError, match="out of range"):
+            induced_cospectrality(build_path(4), S, T)
+
+    def test_one_side_only(self):
+        """One stacked pass serves S, T and both complements, and no set's
+        polynomial leaks into another's verdict."""
+        # P4: {0, 1} and {1, 2} both induce an edge, but their complements
+        # are an edge and two isolated vertices
+        assert induced_cospectrality(build_path(4), {0, 1}, {1, 2}) \
+            == (True, False)
+        # K_{1,3} with center 0: a path P3 against three isolated leaves,
+        # while both complements are one vertex
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert induced_cospectrality(star, {0, 1, 2}, {1, 2, 3}) \
+            == (False, True)
+
+    def test_random_graphs_match_per_set_charpolys(self):
+        """Seeded G(12, 0.4) graphs and set pairs of each size: the verdicts
+        are those of charpoly_int run on each induced subgraph alone, and
+        all four pairs of verdicts occur."""
+        rng = np.random.default_rng(12)
+        everyone = frozenset(range(12))
+
+        def poly(X, vertices):
+            if not vertices:
+                return [1]
+            sub, _ = induced_subgraph(X, vertices)
+            return charpoly_int(sub.adjacency().astype(int).tolist())
+
+        seen = set()
+        for trial in range(30):
+            M = np.triu(rng.random((12, 12)) < 0.4, 1)
+            X = Graph.from_edges(12, zip(*M.nonzero()))
+            size = 1 + trial % 11
+            S = frozenset(rng.choice(12, size, replace=False).tolist())
+            T = frozenset(rng.choice(12, size, replace=False).tolist())
+            if trial % 5 == 0:
+                T = everyone - S if size == 6 else S
+            expected = (poly(X, S) == poly(X, T),
+                        poly(X, everyone - S) == poly(X, everyone - T))
+            assert induced_cospectrality(X, S, T) == expected, (trial, S, T)
+            seen.add(expected)
+        assert len(seen) == 4
 
 
 class TestAverageStateEquality:
