@@ -6,8 +6,7 @@ treatment of the fused-star family X(a, k, c).
 from .exact import (charpoly_int, fermat_two_squares, is_prime, rationalize,
                     square_free_part, two_adic_valuation)
 from .graphs import (Graph, build_stellar, graph_from_graph6, graph_from_json,
-                     graph_to_dot, graph_to_json, induced_subgraph,
-                     stellar_cells)
+                     graph_to_dot, graph_to_json, stellar_cells)
 from .spectral import (SpectralDecomposition, char_poly_suite, decompose,
                        stellar_decompose, transition_rows)
 from .states import (SupportGraph, subset_state, support_graph,

@@ -244,7 +244,9 @@ def cmd_export(args, out) -> int:
     D = spectral.decompose(X)
     G = states.support_graph(D, S)
     colors = None
-    if len(S) == 2:
+    # the classes of a pair come from its certificate, which needs a
+    # connected graph; a disconnected one prints its support uncoloured
+    if len(S) == 2 and D.connected:
         a, b = sorted(S)
         cert = revival.certify_fr(D, a, b)
         if cert.is_proper:
@@ -339,8 +341,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
             # the message argparse gives for a bad string default
             args.usage_error(f"argument --tol: invalid float value: {text!r}")
     out = out or sys.stdout
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    # nan would refuse every transfer and inf accept every one
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        print("error: tolerance must be positive and finite", file=sys.stderr)
         return 2
     try:
         return COMMANDS[args.command](args, out)

@@ -329,9 +329,15 @@ def _charpolys_int(stack: np.ndarray) -> list[list[int]]:
         F = sum(x * x for x in M[M != 0].tolist())
         # modulus > 2 C(n, k) (F/n)**(k/2) exactly when modulus**2 exceeds
         # the floor of 4 C(n, k)**2 F**k / n**k, since modulus**2 is an
-        # integer
-        needs.append(max(4 * math.comb(n, k) ** 2 * F**k // n**k
-                         for k in range(n + 1)))
+        # integer. Its term k + 1 is term k times ((n - k)/(k + 1))**2 F/n,
+        # a ratio that falls as k grows: the terms rise to one peak, carried
+        # as num/den with an exact division (num stays 4 C(n, k)**2 F**k)
+        num, den, k = 4, 1, 0
+        while (n - k) ** 2 * F > n * (k + 1) ** 2:
+            num = num * (n - k) ** 2 * F // (k + 1) ** 2
+            den *= n
+            k += 1
+        needs.append(num // den)
     # moduli[c] is the product of the first c primes; matrix i takes the
     # fewest primes, at least one, whose product squared exceeds needs[i]
     primes, moduli = [], [1]

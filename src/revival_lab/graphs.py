@@ -80,22 +80,6 @@ def stellar_cells(a: int, k: int, c: int) -> tuple[range, range, range]:
             range(2 + a + k, 2 + a + k + c))
 
 
-def induced_subgraph(X: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph on S with relabeled vertices; returns (graph, label map).
-
-    label_map[i] is the original index of new vertex i.
-    """
-    label_map = sorted(set(int(v) for v in S))
-    if not label_map:
-        raise ValueError("vertex set must be nonempty")
-    if label_map[0] < 0 or label_map[-1] >= X.n:
-        raise ValueError("vertex out of range")
-    index = {v: i for i, v in enumerate(label_map)}
-    edges = [(index[u], index[v]) for u, v in X.edges
-             if u in index and v in index]
-    return Graph.from_edges(len(label_map), edges), label_map
-
-
 # --- serialization ---------------------------------------------------------
 
 def graph_to_json(X: Graph) -> str:

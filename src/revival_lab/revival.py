@@ -21,7 +21,6 @@ from .spectral import SpectralDecomposition, _transition_cells
 
 SUPPORT_TOL = 1e-8
 PARALLEL_TOL = 1e-9
-COSPECTRAL_TOL = 1e-9
 INTEGRALITY_TOL = 1e-7
 GAMMA_RESIDUAL_TOL = 1e-7
 
@@ -141,7 +140,7 @@ def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
 
 
 # Bit flags of a pair's gate outcomes.
-_PARALLEL, _COSPECTRAL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4, 8
+_PARALLEL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4
 # The gate table of all pairs is built from an (n, n, m) float array. Up to
 # 2**13 entries it costs at most about four pairs answered one by one
 # (n = m = 20: 0.26 ms against 0.06 ms a pair on 2 x86 cores); past that
@@ -166,8 +165,7 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     ``with_ratio`` (gamma is known exactly) the gamma ratio is not computed:
     it reads 0 and the commutative flag stays clear. Each r has one byte of
     the gates it violates and the unclassified bit (supported, in no class):
-    one OR over r, with the first three bits flipped, gives the flags."""
-    diff = aa - bb
+    one OR over r, with the first two bits flipped, gives the flags."""
     # the negligible level is SUPPORT_TOL * max(1, max_r |ab|), and |ab| <=
     # 1/2 for a != b: a 2x2 block of a projector lies between 0 and I
     pos, neg = ab > SUPPORT_TOL, ab < -SUPPORT_TOL
@@ -175,17 +173,16 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     weighty = pos | neg
     # every block [[aa, ab], [ab, bb]] has rank at most 1 (|det| <= tol)
     bits = (abs(aa * bb - ab * ab) > PARALLEL_TOL).view(np.uint8)
-    bits |= (abs(diff) >= COSPECTRAL_TOL) * np.uint8(_COSPECTRAL)
     # |ab| <= reach_a, so a signed eigenvalue is always in the support
     supported = np.maximum(reach_a, reach_b) > SUPPORT_TOL
     bits |= (supported & ~weighty) * np.uint8(_UNCLASSIFIED)
     if with_ratio:
-        broken, ratio = _first_ratio(diff, ab, weighty)
+        broken, ratio = _first_ratio(aa - bb, ab, weighty)
         bits |= broken * np.uint8(_COMMUTATIVE)
     else:
-        ratio = np.zeros(diff.shape[:-1])
+        ratio = np.zeros(ab.shape[:-1])
     flags = np.bitwise_or.reduce(bits, axis=-1) ^ (
-        _PARALLEL | _COSPECTRAL | (_COMMUTATIVE if with_ratio else 0))
+        _PARALLEL | (_COMMUTATIVE if with_ratio else 0))
     return _Gates(flags, ratio, signs)
 
 
@@ -292,12 +289,11 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
     gamma = _exact_gamma(D, a, b)
     flags, ratio, signs = _pair_gates(D, a, b, gamma is None)
     parallel = bool(flags & _PARALLEL)
-    # an exact gamma is 0 exactly when a = c; the centers' diagonal entries
-    # differ by (a - c)/(2 sqrt(sigma)), below float resolution for large sigma
-    cospectral = gamma == 0 if gamma is not None else bool(flags & _COSPECTRAL)
     if gamma is None and flags & _COMMUTATIVE:
         gamma = rationalize(ratio, tol=GAMMA_RESIDUAL_TOL)
     commutative = gamma is not None
+    # cospectral is the gamma = 0 case of (E_r)_aa - (E_r)_bb = gamma (E_r)_ab
+    cospectral = gamma == 0
     warnings = () if commutative else ("no consistent rational gamma found",)
 
     # one pass, not a generator per class: this runs for every pair

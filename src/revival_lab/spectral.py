@@ -88,10 +88,6 @@ class SpectralDecomposition:
     def m(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in np.diff(self.bounds))
-
     @cached_property
     def graph(self) -> Graph:
         """The graph decomposed: ``source``, or for a quotient-backed

@@ -11,10 +11,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .revival import SUPPORT_TOL
 from .spectral import SpectralDecomposition
-
-# E_r D_S E_s is in the support above this multiple of max |D_S| = 1
-SUPPORT_TOL = 1e-8
 
 
 def subset_state(S: Iterable[int], n: int) -> frozenset[int]:
@@ -29,7 +27,8 @@ def subset_state(S: Iterable[int], n: int) -> frozenset[int]:
 
 
 def _support_mask(D: SpectralDecomposition, S: Iterable[int]) -> np.ndarray:
-    """(m, m) booleans: [r, s] when E_r D_S E_s is nonzero."""
+    """(m, m) booleans: [r, s] when E_r D_S E_s is nonzero, that is when
+    an entry exceeds SUPPORT_TOL times max |D_S| = 1."""
     V, bounds = D.vectors, D.bounds
     rows = V[sorted(subset_state(S, D.n))]
     G = rows.T @ rows  # V^T D_S V

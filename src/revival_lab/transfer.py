@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _charpolys_int
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .revival import FRObservation, _fr_observation
 from .spectral import (SpectralDecomposition, _stellar_decomposition,
                        transition_rows)
@@ -102,20 +102,24 @@ def induced_cospectrality(X: Graph, S: set[int],
 
     Sets of different sizes have polynomials of different degrees, and so
     have their complements. Each distinct vertex set is computed once (when
-    T is the complement of S, the four polynomials are two), and the sets
-    of one size go through the exact kernel as one stack.
+    T is the complement of S, the four polynomials are two), its adjacency
+    is a slice of the graph's, and the sets of one size go through the
+    exact kernel as one stack.
     """
     S, T = frozenset(S), frozenset(T)
     if len(S) != len(T):
         return False, False
     all_v = frozenset(range(X.n))
+    if not (S | T) <= all_v:
+        raise ValueError("vertex out of range")
     sets = {S, T, all_v - S, all_v - T} - {frozenset()}
     polys: dict[frozenset[int], list[int]] = {frozenset(): [1]}
+    A = X.adjacency().astype(np.int64)
     for size in {len(v) for v in sets}:
         group = [v for v in sets if len(v) == size]
-        stack = np.array([induced_subgraph(X, v)[0].adjacency()
-                          for v in group], dtype=np.int64)
-        polys.update(zip(group, _charpolys_int(stack)))
+        rows = np.array([sorted(v) for v in group])
+        polys.update(zip(group, _charpolys_int(A[rows[:, :, None],
+                                                 rows[:, None]])))
     return polys[S] == polys[T], polys[all_v - S] == polys[all_v - T]
 
 

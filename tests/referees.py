@@ -64,11 +64,27 @@ def cartesian_product(X: Graph, Y: Graph) -> Graph:
     return Graph.from_edges(X.n * Y.n, edges)
 
 
+def induced_subgraph(X: Graph, S) -> tuple[Graph, list[int]]:
+    """Subgraph on S with relabeled vertices; returns (graph, label map).
+
+    label_map[i] is the original index of new vertex i.
+    """
+    label_map = sorted(set(int(v) for v in S))
+    if not label_map:
+        raise ValueError("vertex set must be nonempty")
+    if label_map[0] < 0 or label_map[-1] >= X.n:
+        raise ValueError("vertex out of range")
+    index = {v: i for i, v in enumerate(label_map)}
+    edges = [(index[u], index[v]) for u, v in X.edges
+             if u in index and v in index]
+    return Graph.from_edges(len(label_map), edges), label_map
+
+
 # --- the walk and the projectors -------------------------------------------
 
 def adjacency(D: SpectralDecomposition) -> np.ndarray:
     """A = V diag(theta) V^T, rebuilt from the decomposition's factors."""
-    thetas = np.repeat(D.eigenvalues, D.multiplicities)
+    thetas = np.repeat(D.eigenvalues, np.diff(D.bounds))
     return (D.vectors * thetas) @ D.vectors.T
 
 

@@ -279,6 +279,18 @@ class TestExportCommand:
                               "--format", "dot"])
         assert code == 0 and text.startswith("graph")
 
+    @pytest.mark.parametrize("state", ["0,1", "0,2", "0,1,2"])
+    def test_support_dot_of_a_disconnected_graph(self, tmp_path, state):
+        """A pair's classes come from its certificate, which needs a
+        connected graph: on a disconnected one every state's support graph
+        prints uncoloured, a pair's as a triple's."""
+        path = tmp_path / "dis.json"
+        path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')
+        code, text = run_cli(["export", "--graph", str(path),
+                              "--state", state, "--format", "dot"])
+        assert code == 0 and text.startswith("graph support {")
+        assert "fillcolor" not in text
+
     @pytest.mark.parametrize("content", ["?", '{"n": 0, "edges": []}'])
     def test_graph_without_vertices_exit_two(self, tmp_path, capsys, content):
         path = tmp_path / "empty-graph"
@@ -335,6 +347,21 @@ def test_bad_tolerance_exit_two(tmp_path, monkeypatch):
         _ladder_subset(tmp_path)
     assert exc.value.code == 2
     assert run_cli(["stellar", "--stellar", "3,2,6"])[0] == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["option", "env"])
+def test_non_finite_tolerance_exit_two(tmp_path, monkeypatch, capsys, value,
+                                       source):
+    """Under tol = nan no residual would read as a transfer, and under
+    tol = inf every one would: both are input errors, as tol <= 0 is."""
+    if source == "env":
+        monkeypatch.setenv("REVIVAL_LAB_TOL", value)
+        code, text = _ladder_subset(tmp_path)
+    else:
+        code, text = _ladder_subset(tmp_path, "--tol", value)
+    assert code == 2 and text == ""
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
 def test_env_tolerance(tmp_path, monkeypatch):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from referees import (build_path, build_star, cartesian_product, is_equitable,
-                      stellar_partition, symmetrized_quotient)
+from referees import (build_path, build_star, cartesian_product,
+                      induced_subgraph, is_equitable, stellar_partition,
+                      symmetrized_quotient)
 from revival_lab.graphs import (Graph, build_stellar, graph_from_graph6,
                                 graph_from_json, graph_to_dot, graph_to_json,
-                                induced_subgraph, stellar_cells)
+                                stellar_cells)
 
 
 def degree(X: Graph, v: int) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from referees import (build_path, build_star, components, double_star_tree,
-                      is_complete_with_loops)
+                      is_complete_with_loops, projectors)
 from revival_lab import revival
 from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import (RevivalCertificate, _fr_observation,
@@ -49,6 +49,56 @@ class TestCospectralParallel:
             D = stellar_decompose(a, k, c)
             for pair in ((0, 1), (1, 0)):
                 assert certify_fr(D, *pair).cospectral == (a == c), (a, k, c)
+
+
+class TestCospectralIsGammaZero:
+    """cert.cospectral is read from gamma: a and b are cospectral exactly
+    when every (E_r)_aa - (E_r)_bb is 0, which is the gamma = 0 case of
+    (E_r)_aa - (E_r)_bb = gamma (E_r)_ab. The referee reads the diagonals
+    of the dense projectors: cospectral when max_r |(E_r)_aa - (E_r)_bb|
+    < 1e-9. Both orders of every pair are checked."""
+
+    @staticmethod
+    def outcomes(D, pairs=None):
+        """The set of cospectral values seen, each equal to the referee's."""
+        diag = np.array([np.diagonal(E) for E in projectors(D)])
+        seen = set()
+        for a, b in pairs or itertools.permutations(range(D.n), 2):
+            expected = bool(np.abs(diag[:, a] - diag[:, b]).max() < 1e-9)
+            assert certify_fr(D, a, b).cospectral == expected, (D.n, a, b)
+            seen.add(expected)
+        return seen
+
+    def test_seeded_random_graphs(self):
+        rng = np.random.default_rng(27)
+        seen, graphs = set(), 0
+        while graphs < 150:
+            n = int(rng.integers(4, 13))
+            M = np.triu(rng.random((n, n)) < 0.4, 1)
+            D = decompose(Graph.from_edges(n, zip(*M.nonzero())))
+            if D.connected:
+                seen |= self.outcomes(D)
+                graphs += 1
+        assert seen == {False, True}
+
+    def test_trees(self):
+        import networkx as nx
+        seen = set()
+        for n in range(4, 11):
+            for tree in nx.nonisomorphic_trees(n):
+                seen |= self.outcomes(decompose(Graph.from_edges(n, tree.edges)))
+        assert seen == {False, True}
+
+    def test_star_leaves_cospectral_not_parallel(self):
+        D = decompose(build_star(3))
+        assert self.outcomes(D, [(1, 2), (2, 1)]) == {True}
+        assert not certify_fr(D, 1, 2).parallel
+
+    def test_fused_star_centers(self):
+        """X(3, 2, 6): the exact gamma of the quotient and the float ratio
+        of a dense decomposition, both -3/2, so not cospectral."""
+        for D in (stellar_decompose(3, 2, 6), decompose(build_stellar(3, 2, 6))):
+            assert self.outcomes(D, [(0, 1), (1, 0)]) == {False}
 
 
 class TestFractionalCospectrality:
@@ -194,9 +244,10 @@ def _gamma_ratio(aa, bb, ab, tol):
 
 
 def _reference_gates(aa, bb, ab, reach_a, reach_b, with_ratio=True):
-    """The gate kernel as first written, the referee of revival._gates: one
-    reduction over r per gate, and the four outcomes packed into flags by a
-    matmul with their bit values."""
+    """The gate kernel as first written, less its cospectral bit (see
+    TestCospectralIsGammaZero), the referee of revival._gates: one
+    reduction over r per gate, and the three outcomes packed into flags by
+    a matmul with their bit values."""
     if with_ratio:
         consistent, ratio = _gamma_ratio(aa, bb, ab,
                                          revival.GAMMA_RESIDUAL_TOL)
@@ -207,12 +258,10 @@ def _reference_gates(aa, bb, ab, reach_a, reach_b, with_ratio=True):
     signs = np.subtract(ab > tol, ab < -tol, dtype=np.int8)
     supported = np.maximum(reach_a, reach_b) > tol
     parallel = (abs(aa * bb - ab * ab) <= revival.PARALLEL_TOL).all(axis=-1)
-    cospectral = (abs(aa - bb) < revival.COSPECTRAL_TOL).all(axis=-1)
     unclassified = (supported & (signs == 0)).any(axis=-1)
-    bits = (parallel, cospectral, consistent, unclassified)
-    values = np.array([revival._PARALLEL, revival._COSPECTRAL,
-                       revival._COMMUTATIVE, revival._UNCLASSIFIED],
-                      dtype=np.uint8)
+    bits = (parallel, consistent, unclassified)
+    values = np.array([revival._PARALLEL, revival._COMMUTATIVE,
+                       revival._UNCLASSIFIED], dtype=np.uint8)
     flags = np.concatenate([x[..., None] for x in bits], axis=-1) @ values
     return flags, ratio, signs
 

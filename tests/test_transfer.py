@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from referees import (average_state_equality, build_path, cartesian_product,
-                      induced_transfer_check, is_periodic, projectors,
-                      state_matrix, transition_matrix)
+                      induced_subgraph, induced_transfer_check, is_periodic,
+                      projectors, state_matrix, transition_matrix)
 from revival_lab.exact import charpoly_int
-from revival_lab.graphs import Graph, build_stellar, induced_subgraph
+from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import subset_state
