@@ -8,7 +8,7 @@ from .exact import (charpoly_int, fermat_two_squares, is_prime, rationalize,
 from .graphs import (Graph, build_stellar, graph_from_graph6, graph_from_json,
                      graph_to_dot, graph_to_json, stellar_cells)
 from .spectral import (SpectralDecomposition, char_poly_suite, decompose,
-                       stellar_decompose, transition_rows)
+                       stellar_decompose)
 from .states import (SupportGraph, subset_state, support_graph,
                      support_graph_to_dot)
 from .revival import (FRObservation, RevivalCertificate, certify_fr,

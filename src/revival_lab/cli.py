@@ -136,6 +136,13 @@ def _oracle(D, a: int, b: int, t: float) -> dict:
             "cross_amplitude": obs.cross_amplitude}
 
 
+def _warned(doc: dict, D) -> dict:
+    """doc with D's distinct warnings, if any, as decomposition_warnings."""
+    if D.warnings:
+        doc["decomposition_warnings"] = list(dict.fromkeys(D.warnings))
+    return doc
+
+
 def cmd_analyze(args, out) -> int:
     D = _decomposition(args)
     a, b = args.pair
@@ -145,7 +152,7 @@ def cmd_analyze(args, out) -> int:
         doc["oracle"] = _oracle(D, a, b, cert.tau_min)
     if args.time is not None:
         doc["oracle_at_time"] = _oracle(D, a, b, parse_time(args.time))
-    _emit(doc, args.format, out)
+    _emit(_warned(doc, D), args.format, out)
     return 0 if cert.is_proper else 1
 
 
@@ -228,7 +235,7 @@ def cmd_subset(args, out) -> int:
     T = parse_vertex_set(args.t)
     t = parse_time(args.time)
     report = transfer.detect_subset_transfer(D, S, T, t, args.tol)
-    _emit(report.to_json_dict(), args.format, out)
+    _emit(_warned(report.to_json_dict(), D), args.format, out)
     return 0 if report.is_transfer else 1
 
 

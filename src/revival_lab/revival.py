@@ -120,25 +120,6 @@ def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
     return D.exact.gamma if (a, b) == (0, 1) else -D.exact.gamma
 
 
-def _pair_entries(D: SpectralDecomposition, a: int, b: int) -> tuple:
-    """(aa, bb, ab, reach_a, reach_b) of one pair, each of shape (m,); the
-    reach of a is max_v |(E_r)_av|. It is taken over the rows of the
-    factors: a quotient's cells repeat on their vertices and do not change
-    it, so a pair the quotient answers is never lifted to all n vertices.
-
-    When the factors have one column per eigenvalue (every eigenvalue is
-    simple, or the quotient answers), (E_r)_av is V[a, r] V[v, r], and the
-    reach |V[a, r]| max_v |V[v, r]| equals that of ``projector_rows`` bit
-    for bit: rounding preserves order."""
-    (ra, rb), V = D._row_factors([a, b])[:2]
-    if V.shape[1] == D.m:
-        peak = abs(V).max(axis=0)
-        return ra * ra, rb * rb, ra * rb, abs(ra) * peak, abs(rb) * peak
-    rows = D.projector_rows([a, b])  # dense: nothing to lift
-    reach = abs(rows).max(axis=1)
-    return rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1]
-
-
 # Bit flags of a pair's gate outcomes.
 _PARALLEL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4
 # The gate table of all pairs is built from an (n, n, m) float array. Up to
@@ -186,27 +167,35 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     return _Gates(flags, ratio, signs)
 
 
-def _gate_table(D: SpectralDecomposition) -> _Gates:
-    """The gates of every pair (a, b) at once, indexed [a, b]. When every
-    eigenvalue is simple the entries are V[a, r] V[b, r], straight from
-    the factors, with the reach of ``_pair_entries``."""
-    if D.m == D.n:
-        V = D.vectors
-        entries, diag, reach = V[:, None] * V, V * V, abs(V)
-        reach = reach * reach.max(axis=0)
+def _gate_block(D: SpectralDecomposition, rows: list[int] | slice,
+                cols: list[int] | slice) -> tuple:
+    """(aa, bb, ab, reach_a, reach_b) of the pairs rows x cols, of shapes
+    (rows, 1, m), (cols, m), (rows, cols, m), (rows, 1, m) and (cols, m),
+    with the reach of a max_v |(E_r)_av|: all x all (slice(None) twice) is
+    the table of all pairs, [a] x [b] a lone pair. Each line is read once
+    over the columns of the row factors, where a quotient's cells stand for
+    their vertices. With one factor column per eigenvalue, (E_r)_uv is
+    V[u, r] V[v, r], and |V[u, r]| max_v |V[v, r]| is the reach bit for bit
+    (rounding preserves order): no n x m ``projector_rows`` product a line."""
+    lines, k = (rows, None) if rows == cols else (rows + cols, len(rows))
+    R, V = D._row_factors(lines)[:2]
+    if V.shape[1] == D.m:
+        diag, reach, ab = R * R, abs(R) * abs(V).max(axis=0), \
+            R[:k, None] * R[k:]
     else:
-        entries = D.projector_rows(slice(None))
-        diag = entries.reshape(D.n * D.n, D.m)[::D.n + 1]
-        reach = abs(entries).max(axis=1)
-    return _gates(diag[:, None], diag, entries, reach[:, None], reach)
+        P, at = D.projector_rows(lines)
+        own = P[:, at]  # each line at the columns of the lines
+        diag = own.reshape(-1, D.m)[::len(own) + 1]
+        reach, ab = abs(P).max(axis=1), own[:k, k:]
+    return diag[:k, None], diag[k:], ab, reach[:k, None], reach[k:]
 
 
 class _GateRows(NamedTuple):
-    """The gate table in flat stdlib buffers, read with no numpy scalar
-    access: pair (a, b) is entry i = a n + b of ``flags`` and ``ratio``, and
-    its signs are ``signs[i m:(i + 1) m]``. Over the connected graphs on at
-    most 7 vertices they take 1.1 KB a graph, where nested lists of Python
-    numbers took 8.8 KB."""
+    """A block's gates in flat stdlib buffers, read with no numpy scalar
+    access: pair (rows[i], cols[j]) is entry p = i n + j of ``flags`` and
+    ``ratio``, and its signs are ``signs[p m:(p + 1) m]``. Over the connected
+    graphs on at most 7 vertices the tables take 1.1 KB a graph, where
+    nested lists of Python numbers took 8.8 KB."""
 
     n: int
     m: int
@@ -215,30 +204,32 @@ class _GateRows(NamedTuple):
     signs: array  # of int8
 
 
-def _gate_rows(D: SpectralDecomposition) -> _GateRows:
-    flags, ratio, signs = _gate_table(D)
-    return _GateRows(D.n, D.m, flags.tobytes(), array("d", ratio.tobytes()),
-                     array("b", signs.tobytes()))
+def _gate_rows(D: SpectralDecomposition, rows: list[int] | slice,
+               cols: list[int] | slice, with_ratio: bool = True) -> _GateRows:
+    flags, ratio, signs = _gates(*_gate_block(D, rows, cols), with_ratio)
+    return _GateRows(flags.shape[1], D.m, flags.tobytes(),
+                     array("d", ratio.tobytes()), array("b", signs.tobytes()))
 
 
 def _pair_gates(D: SpectralDecomposition, a: int, b: int,
-                with_ratio: bool) -> tuple[int, float, list[int] | array]:
+                with_ratio: bool) -> tuple[int, float, array]:
     """The flags, the gamma ratio and the signs of (a, b).
 
     A decomposition's first certification builds the table of all pairs,
     if it fits, and keeps it in ``D.memo``. A pair that the decomposition's
     quotient answers does not build it: the table needs the dense
-    eigenvectors.
+    eigenvectors. Without a table, the pair is a block of its own.
     """
-    rows = D.memo.get("gates")
-    if rows is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
+    block = D.memo.get("gates")
+    if block is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
             and not D.on_quotient([a, b]):
-        rows = D.memo["gates"] = _gate_rows(D)
-    if rows is None:
-        flags, ratio, signs = _gates(*_pair_entries(D, a, b), with_ratio)
-        return int(flags), float(ratio), signs.tolist()
-    i, m = a * rows.n + b, rows.m
-    return rows.flags[i], rows.ratio[i], rows.signs[i * m:(i + 1) * m]
+        block = D.memo["gates"] = _gate_rows(D, slice(None), slice(None))
+    if block is None:
+        block, i = _gate_rows(D, [a], [b], with_ratio), 0
+    else:
+        i = a * block.n + b
+    m = block.m
+    return block.flags[i], block.ratio[i], block.signs[i * m:(i + 1) * m]
 
 
 def _integer_of(x: float, tol: float) -> int | None:
@@ -387,16 +378,15 @@ def verify_fr_at(D: SpectralDecomposition, a: int, b: int,
 
     A pair that the quotient answers is measured over its cells, with no
     lift to the vertices: a and b are cells of their own, and every other
-    cell has the maximum of the vertices it repeats on."""
-    rows, sizes = _transition_cells(D, [a, b], t)
-    if sizes is not None:
-        a, b = D.quotient.singletons[a], D.quotient.singletons[b]
-    return _fr_observation(rows, a, b, t)
+    cell stands for the vertices that share its entry."""
+    return _fr_observation(*_transition_cells(D, [a, b], t), t)
 
 
-def _fr_observation(rows: np.ndarray, a: int, b: int,
+def _fr_observation(rows: np.ndarray, cols: list[int],
                     t: float) -> FRObservation:
-    """The observation at {a, b} from the rows a and b of U(t)."""
+    """The observation at {a, b} from the rows a and b of U(t), with a and
+    b at the columns ``cols``."""
+    a, b = cols
     block = rows[:, [a, b]]
     leak = np.abs(rows)
     leak[:, [a, b]] = 0.0

@@ -36,8 +36,8 @@ class Quotient:
     its cell. For such a vertex u, e_u = Q e_cell(u) lies in the A-invariant
     span of Q, so E_r e_u = (Q w_r)(Q w_r)_u and U(t) e_u = Q exp(itB)
     e_cell(u) (Godsil & Royle, Algebraic Graph Theory, ch. 9): its rows of
-    every E_r and of U(t) are rows over the cells, lifted to the vertices by
-    repeating each cell's entry.
+    every E_r and of U(t) are rows over the cells, and every vertex of a
+    cell has that cell's entry.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -56,11 +56,11 @@ class SpectralDecomposition:
     ``factors`` holds ``vectors`` and ``source`` holds ``graph`` when they
     are known at construction. A quotient-backed decomposition (the fused
     stars, whose ``exact`` is the ``StellarAnalysis`` it was built from)
-    leaves both None: its ``projector_rows`` and ``transition_rows`` answer
-    from ``quotient`` when every requested row is a singleton cell, and
-    anything else that reads ``graph`` or ``vectors`` builds them on first
-    access (the vectors with a dense ``decompose`` of the graph), then keeps
-    them.
+    leaves both None. Its row readers answer from ``quotient`` when every
+    requested row is a singleton cell; their columns are then the cells,
+    and no reader repeats them over the n vertices. Anything else that
+    reads ``graph`` or ``vectors`` builds them on first access (the vectors
+    with a dense ``decompose`` of the graph), then keeps them.
 
     ``memo`` holds results that consumers derive from the decomposition and
     keep with it (the certifier's gate table). repr leaves it out, and a
@@ -116,28 +116,25 @@ class SpectralDecomposition:
                 and all(u in q.singletons for u in rows))
 
     def _row_factors(self, rows: list[int] | slice) -> tuple:
-        """(V[rows], V, bounds, sizes) for a query on ``rows``: the
-        quotient's cell vectors with one column per eigenvalue when it
-        answers them, else the dense factors. ``sizes`` repeats V's rows up
-        to the vertices (None: they are the vertices already)."""
+        """(V[rows], V, bounds, cols) for a query on ``rows``: the
+        quotient's cell vectors, with one column per eigenvalue, when it
+        answers them, else the dense factors. A reader's columns are the
+        rows of V, cells or vertices, and ``cols`` picks those of ``rows``
+        from them as ``rows`` picks the vertices."""
         if self.on_quotient(rows):
             q = self.quotient
             cells = [q.singletons[u] for u in rows]
             return (q.vectors[cells], q.vectors, tuple(range(self.m + 1)),
-                    q.sizes)
-        return self.vectors[rows], self.vectors, self.bounds, None
+                    cells)
+        return self.vectors[rows], self.vectors, self.bounds, rows
 
-    def projector_rows(self, rows: list[int] | slice) -> np.ndarray:
-        """The (len(rows), n, m) entries [i, v, r] = (E_r)_{rows[i], v}."""
-        R, V, bounds, sizes = self._row_factors(rows)
+    def projector_rows(self, rows: list[int] | slice) -> tuple:
+        """(P, cols): P[i, j, r] = (E_r)_{rows[i], v} for the vertices v of
+        column j of the row factors (one vertex, or a quotient's cell, all
+        of whose vertices have that entry), and the columns of ``rows``."""
+        R, V, bounds, cols = self._row_factors(rows)
         products = R[:, None, :] * V[None, :, :]
-        return _lift(np.add.reduceat(products, bounds[:-1], axis=2), sizes, 1)
-
-
-def _lift(x: np.ndarray, sizes: tuple[int, ...] | None,
-          axis: int) -> np.ndarray:
-    """Cell values on ``axis`` repeated over the vertices of each cell."""
-    return x if sizes is None else np.repeat(x, sizes, axis=axis)
+        return np.add.reduceat(products, bounds[:-1], axis=2), cols
 
 
 def _group_eigenvalues(desc: np.ndarray,
@@ -230,25 +227,20 @@ def decompose(X: Graph) -> SpectralDecomposition:
                                  source=X)
 
 
-def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
-                    t: float) -> np.ndarray:
-    """Rows of U(t) = exp(itA), as (V[rows] diag(exp(i t theta))) V^T: the
+def _transition_cells(D: SpectralDecomposition, rows: list[int] | slice,
+                      t: float) -> tuple:
+    """Rows of U(t) = exp(itA) over the columns of the row factors (the
+    vertices, or the quotient's cells when it answers ``rows``), with the
+    column of each requested row: (V[rows] diag(exp(i t theta))) V^T, whose
     real and imaginary parts come from one real product of the stacked
     rows [R cos(t theta); R sin(t theta)] with V^T."""
-    return _lift(*_transition_cells(D, rows, t), -1)
-
-
-def _transition_cells(D: SpectralDecomposition, rows: list[int] | slice,
-                      t: float) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """``transition_rows`` before the lift: its columns are the quotient's
-    cells when it answers ``rows``, with the cell sizes (else None)."""
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    R, V, bounds, sizes = D._row_factors(rows)
+    R, V, bounds, cols = D._row_factors(rows)
     angles = np.repeat(t * np.asarray(D.eigenvalues), np.diff(bounds))
     parts = np.concatenate([R * np.cos(angles), R * np.sin(angles)]) @ V.T
     k = len(R)
-    return parts[:k] + 1j * parts[k:], sizes
+    return parts[:k] + 1j * parts[k:], cols
 
 
 def _stellar_quotient(a: int, k: int, c: int) -> np.ndarray:
@@ -322,6 +314,6 @@ def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:
 
 
 __all__ = [
-    "SpectralDecomposition", "decompose", "transition_rows",
-    "stellar_decompose", "char_poly_suite",
+    "SpectralDecomposition", "decompose", "stellar_decompose",
+    "char_poly_suite",
 ]

@@ -17,7 +17,7 @@ from .exact import _charpolys_int
 from .graphs import Graph
 from .revival import FRObservation, _fr_observation
 from .spectral import (SpectralDecomposition, _stellar_decomposition,
-                       transition_rows)
+                       _transition_cells)
 from .stellar import analyze
 
 DEFAULT_TRANSFER_TOL = 1e-8
@@ -63,31 +63,35 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
 
     U(t) is symmetric, so its rows on S | T are all that is read: they give
     the columns U[:, S] of the residual U[:, S] U[:, S]^* - D_T, and one side
-    of each zero block lies in S | T."""
+    of each zero block lies in S | T. On a quotient the rows and their
+    maxima are taken over the cells, which stand for their vertices."""
     S, T = set(S), set(T)
     if not S or not T:
         raise ValueError("subsets must be nonempty")
     union = sorted(S | T)
     if union[0] < 0 or union[-1] >= D.n:
         raise ValueError("vertex out of range")
-    rows = transition_rows(D, union, t)
+    rows, cols = _transition_cells(D, union, t)
     at = {v: i for i, v in enumerate(union)}
+    col = dict(zip(union, cols))
     W = rows[[at[v] for v in sorted(S)]]
     R = W.T @ W.conj()
-    diagonal = sorted(T)
+    diagonal = [col[v] for v in sorted(T)]
     R[diagonal, diagonal] -= 1  # - D_T
     residual = float(np.abs(R).max())
 
-    groups = [sorted(S - T), sorted(S & T), sorted(T - S),
-              sorted(set(range(D.n)) - S - T)]
+    # rows and columns of each group; the complement is every other column
+    groups = [sorted(S - T), sorted(S & T), sorted(T - S)]
+    columns = [[col[v] for v in g] for g in groups]
+    columns.append(sorted(set(range(rows.shape[1])) - set(cols)))
     pattern = []
     for i, j in ZERO_BLOCKS:
-        if not groups[i] or not groups[j]:
-            pattern.append(True)
-            continue
         if i == 3:  # the complement: read the block from the other side
             i, j = j, i
-        block = rows[np.ix_([at[v] for v in groups[i]], groups[j])]
+        if not groups[i] or not columns[j]:
+            pattern.append(True)
+            continue
+        block = rows[np.ix_([at[v] for v in groups[i]], columns[j])]
         pattern.append(bool(np.abs(block).max() < tol))
 
     cosp, comp_cosp = induced_cospectrality(D.graph, S, T)
@@ -152,15 +156,18 @@ class PolygamyReport:
 
 
 def _product_rows(D: SpectralDecomposition, vertices: list[tuple[int, int]],
-                  t: float) -> np.ndarray:
+                  t: float) -> tuple[np.ndarray, list[int]]:
     """Rows of U(t) on K2 x X at the product vertices (x, y), from the rows
     y of U_X(t): U_{K2 x X}(t) = U_K2(t) (x) U_X(t), with
-    U_K2(t) = [[cos t, i sin t], [i sin t, cos t]]."""
+    U_K2(t) = [[cos t, i sin t], [i sin t, cos t]]; with the column of each
+    vertex. Column x' w + j pairs x' with column j of the w of U_X's rows."""
     xs, ys = zip(*vertices)
     k2 = np.array([[math.cos(t), 1j * math.sin(t)],
                    [1j * math.sin(t), math.cos(t)]])
-    rows = transition_rows(D, list(ys), t)
-    return (k2[list(xs), :, None] * rows[:, None, :]).reshape(len(xs), -1)
+    rows, cols = _transition_cells(D, list(ys), t)
+    w = rows.shape[1]
+    return ((k2[list(xs), :, None] * rows[:, None, :]).reshape(len(xs), -1),
+            [x * w + j for x, j in zip(xs, cols)])
 
 
 def polygamy_witness(a: int, k: int, c: int, ell: int) -> PolygamyReport:
@@ -169,7 +176,7 @@ def polygamy_witness(a: int, k: int, c: int, ell: int) -> PolygamyReport:
     Proper FR holds on the two copies of vertex 0 at 2*tau_min and on the
     two fused-star centers at pi = (2*ell+1)*tau_min; both pairs share the
     vertex (0, 0). The rows of U(t) on both pairs are built from the rows of
-    U_X(t) on the centers of X, which its quotient answers.
+    U_X(t) on the centers of X, over the cells of its quotient.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -190,10 +197,9 @@ def polygamy_witness(a: int, k: int, c: int, ell: int) -> PolygamyReport:
     twin = (0, n)       # (0, 0) and (1, 0)
     centers = (0, 1)    # (0, 0) and (0, 1)
     t = 2 * an.tau_min
-    twin_obs = _fr_observation(_product_rows(D, [(0, 0), (1, 0)], t),
-                               *twin, t)
-    center_obs = _fr_observation(_product_rows(D, [(0, 0), (0, 1)], math.pi),
-                                 *centers, math.pi)
+    twin_obs = _fr_observation(*_product_rows(D, [(0, 0), (1, 0)], t), t)
+    center_obs = _fr_observation(
+        *_product_rows(D, [(0, 0), (0, 1)], math.pi), math.pi)
     return PolygamyReport(a, k, c, ell, an.tau_min, twin, t, twin_obs,
                           centers, math.pi, center_obs)
 

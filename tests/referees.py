@@ -17,8 +17,9 @@ import networkx as nx
 import numpy as np
 
 from revival_lab.graphs import Graph, stellar_cells
-from revival_lab.spectral import SpectralDecomposition, transition_rows
+from revival_lab.spectral import SpectralDecomposition, _transition_cells
 from revival_lab.states import SupportGraph
+from revival_lab.transfer import ZERO_BLOCKS
 
 # A state is a dense matrix, or a vertex set S standing for the 0/1 diagonal
 # D_S (what ``subset_state`` returns).
@@ -88,9 +89,64 @@ def adjacency(D: SpectralDecomposition) -> np.ndarray:
     return (D.vectors * thetas) @ D.vectors.T
 
 
+def lift(x: np.ndarray, D: SpectralDecomposition,
+         axis: int = -1) -> np.ndarray:
+    """Values over the columns of D's row factors, on ``axis``, over the n
+    vertices: a quotient's cells (when x has fewer columns than D has
+    vertices) each repeated over their vertices."""
+    return (x if x.shape[axis] == D.n
+            else np.repeat(x, D.quotient.sizes, axis))
+
+
+def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
+                    t: float) -> np.ndarray:
+    """Rows of U(t) = exp(itA) over the n vertices: the package's rows over
+    the columns of its row factors, lifted."""
+    return lift(_transition_cells(D, rows, t)[0], D)
+
+
 def transition_matrix(D: SpectralDecomposition, t: float) -> np.ndarray:
     """U(t) = exp(itA), every row."""
     return transition_rows(D, slice(None), t)
+
+
+def lifted_subset_transfer(D: SpectralDecomposition, S: set[int],
+                           T: set[int], t: float,
+                           tol: float = 1e-8) -> tuple[float, tuple]:
+    """(residual, block_zero_pattern) of ``detect_subset_transfer`` read
+    from the rows of U(t) on S | T over the n vertices: the residual
+    U[:, S] U[:, S]^* - D_T as an n x n matrix, and each zero block of U(t)
+    with the complement as the vertices outside S | T."""
+    union = sorted(S | T)
+    rows = transition_rows(D, union, t)
+    at = {v: i for i, v in enumerate(union)}
+    W = rows[[at[v] for v in sorted(S)]]
+    R = W.T @ W.conj()
+    R[sorted(T), sorted(T)] -= 1
+    groups = [sorted(S - T), sorted(S & T), sorted(T - S),
+              sorted(set(range(D.n)) - S - T)]
+    pattern = []
+    for i, j in ZERO_BLOCKS:
+        if not groups[i] or not groups[j]:
+            pattern.append(True)
+            continue
+        if i == 3:
+            i, j = j, i
+        block = rows[np.ix_([at[v] for v in groups[i]], groups[j])]
+        pattern.append(bool(np.abs(block).max() < tol))
+    return float(np.abs(R).max()), tuple(pattern)
+
+
+def lifted_product_rows(D: SpectralDecomposition,
+                        vertices: list[tuple[int, int]],
+                        t: float) -> np.ndarray:
+    """Rows of U(t) on K2 x X at the vertices (x, y), index x n + y, over
+    all 2n vertices: U_K2(t) (x) U_X(t) from the rows y of U_X(t)."""
+    xs, ys = zip(*vertices)
+    k2 = np.array([[math.cos(t), 1j * math.sin(t)],
+                   [1j * math.sin(t), math.cos(t)]])
+    rows = transition_rows(D, list(ys), t)
+    return (k2[list(xs), :, None] * rows[:, None, :]).reshape(len(xs), -1)
 
 
 def unitarity_error(U: np.ndarray) -> float:

@@ -78,7 +78,8 @@ def test_criterion_02_exact_projector_blocks():
     }
     # the closed form's entries over 1 and 1/sqrt(sigma), sigma = 25
     exact = surd_values(stellar_center_blocks(3, 2, 6), 5)
-    blocks = D.projector_rows([0, 1])[:, [0, 1]]
+    P, cols = D.projector_rows([0, 1])
+    blocks = P[:, cols]
     ok = True
     worst = 0.0
     for r, theta in enumerate(D.eigenvalues):

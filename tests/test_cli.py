@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,25 @@ class TestAnalyzeCommand:
         doc = json.loads(text)
         assert code == 1 and doc["certificate"]["cospectral"] is False
         assert doc["oracle_at_time"]["t"] == 1.0
+
+
+    def test_decomposition_warnings_reach_the_output(self):
+        """On X(1, 10^16, 2) the gap from theta3 to 0 lies within a factor
+        10 of the grouping threshold. The decomposition records it twice
+        (the gaps theta3 - 0 and 0 - (-theta3)), and analyze prints it
+        once."""
+        code, text = run_cli(["analyze", "--stellar", "1,10000000000000000,2",
+                              "--pair", "0", "1"])
+        doc = json.loads(text)
+        assert code == 1 and list(doc)[-1] == "decomposition_warnings"
+        assert doc["decomposition_warnings"] == [
+            "eigenvalue gap 1.225e+00 within a factor 10 of the grouping "
+            "threshold 1.414e-01"]
+        assert doc["certificate"]["warnings"] == []
+
+    def test_no_warnings_key_without_warnings(self):
+        code, text = run_cli(["analyze", "--stellar", "3,2,6"])
+        assert code == 0 and "decomposition_warnings" not in json.loads(text)
 
 
 class TestStellarCommand:
@@ -249,6 +269,20 @@ class TestSubsetCommand:
         code, _ = run_cli(["subset", "--graph", str(path),
                            "--s", "0", "--t", "2", "--time", "1.0"])
         assert code == 1
+
+    def test_decomposition_warnings_reach_the_output(self, monkeypatch):
+        """Each distinct warning once, in order, after the report's keys;
+        none on X(3, 2, 6) itself."""
+        from revival_lab import spectral
+        real = spectral.stellar_decompose
+        argv = ["subset", "--stellar", "3,2,6", "--s", "0", "--t", "1",
+                "--time", "pi"]
+        assert "decomposition_warnings" not in json.loads(run_cli(argv)[1])
+        monkeypatch.setattr(spectral, "stellar_decompose", lambda *abc: replace(
+            real(*abc), warnings=("gap x", "gap y", "gap x")))
+        doc = json.loads(run_cli(argv)[1])
+        assert list(doc)[-1] == "decomposition_warnings"
+        assert doc["decomposition_warnings"] == ["gap x", "gap y"]
 
     def test_empty_file_exit_two(self, tmp_path):
         path = tmp_path / "empty"

@@ -10,13 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from referees import (build_path, build_star, components, double_star_tree,
-                      is_complete_with_loops, projectors)
+from referees import (build_path, build_star, cartesian_product, components,
+                      double_star_tree, is_complete_with_loops, lift,
+                      projectors, transition_rows)
 from revival_lab import revival
 from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import (RevivalCertificate, _fr_observation,
-                                 _pair_entries, certify_fr, verify_fr_at)
-from revival_lab.spectral import decompose, stellar_decompose, transition_rows
+                                 _gate_block, certify_fr, verify_fr_at)
+from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import subset_state, support_graph
 
 
@@ -215,19 +216,23 @@ class TestCertifyFR:
 
 
 def test_singleton_pair_entries_match_projector_rows(parity_cases):
-    """With every eigenvalue simple, _pair_entries reads rows of V; its five
-    arrays equal those read from projector_rows, bit for bit."""
-    from revival_lab.revival import _pair_entries
+    """With every eigenvalue simple, the entries of the block [a] x [b] are
+    products of rows of V: V[a] V[a], V[b] V[b], V[a] V[b], and the reaches
+    |V[a]| max_v |V[v]| and |V[b]| max_v |V[v]|, bit for bit (rounding
+    preserves order, so the max of the products is the product of the
+    max)."""
     checked = 0
     for name, D, _, pairs in parity_cases:
         if D.m != D.n or D.factors is None:
             continue
+        V = D.vectors
+        peak = abs(V).max(axis=0)
         for a, b in pairs:
-            rows = D.projector_rows([a, b])
-            reach = abs(rows).max(axis=1)
-            ref = (rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1])
-            got = _pair_entries(D, a, b)
-            assert all(np.array_equal(x, y) for x, y in zip(got, ref)), name
+            ra, rb = V[a], V[b]
+            ref = (ra * ra, rb * rb, ra * rb, abs(ra) * peak, abs(rb) * peak)
+            got = _gate_block(D, [a], [b])
+            assert all(np.array_equal(x.reshape(-1), y)
+                       for x, y in zip(got, ref)), name
             checked += 1
     assert checked > 500
 
@@ -297,16 +302,16 @@ class TestGateKernel:
         D = decompose(build_path(400))
         for pair in ((0, 399), (1, 2)):
             certify_fr(D, *pair)
-        assert refereed == [(), ()] and "gates" not in D.memo
+        assert refereed == [(1, 1), (1, 1)] and "gates" not in D.memo
 
     def test_fused_star_centers(self, refereed):
         for a, k, c in [(3, 2, 6), (1, 4, 1), (12, 6, 28), (58, 46, 127)]:
             D = stellar_decompose(a, k, c)
-            for pair in ((0, 1), (1, 0)):
-                certify_fr(D, *pair)  # the exact gamma: no ratio
+            for a, b in ((0, 1), (1, 0)):
+                certify_fr(D, a, b)  # the exact gamma: no ratio
                 for with_ratio in (True, False):
-                    revival._gates(*_pair_entries(D, *pair), with_ratio)
-        assert refereed == [()] * 24
+                    revival._gates(*_gate_block(D, [a], [b]), with_ratio)
+        assert refereed == [(1, 1)] * 24
 
     def test_stacked_batch(self, refereed):
         """200 seeded 10-vertex graphs, every pair of each at once."""
@@ -356,12 +361,12 @@ class TestGateTable:
         if rows is None:
             return
         for a, b in itertools.permutations(range(D.n), 2):
-            flags, ratio, signs = revival._gates(*_pair_entries(D, a, b))
+            flags, ratio, signs = revival._gates(*_gate_block(D, [a], [b]))
             i = a * D.n + b
-            assert rows.flags[i] == int(flags), (label, a, b)
-            assert rows.ratio[i].hex() == float(ratio).hex(), (label, a, b)
+            assert rows.flags[i] == int(flags[0, 0]), (label, a, b)
+            assert rows.ratio[i].hex() == float(ratio[0, 0]).hex(), (label, a, b)
             assert rows.signs[i * D.m:(i + 1) * D.m].tolist() \
-                == signs.tolist(), (label, a, b)
+                == signs[0, 0].tolist(), (label, a, b)
 
     def test_atlas_paths_agree(self, refereed):
         import networkx as nx
@@ -373,8 +378,8 @@ class TestGateTable:
                     decompose(Graph.from_edges(n, list(g.edges()))), i)
                 count += 1
         assert count == 995  # every connected graph on 2..7 vertices
-        # each table, then each ordered pair as a batch of one
-        assert refereed.count(()) == len(refereed) - count
+        # each table, then each ordered pair as a block [a] x [b]
+        assert refereed.count((1, 1)) == len(refereed) - count
 
     def test_random_graphs_paths_agree(self, refereed):
         import networkx as nx
@@ -387,13 +392,21 @@ class TestGateTable:
             self.assert_paths_agree(D, n)
         # every spectrum is simple, so n^3 <= 2^13 fails from n = 21 on
         assert crossed == 4
-        assert [x for x in refereed if x] == [(n, n) for n in (8, 13, 20)]
+        assert [x for x in refereed if x != (1, 1)] \
+            == [(n, n) for n in (8, 13, 20)]
 
     def test_built_on_first_call_and_compact(self, monkeypatch):
         D = decompose(build_path(7))
-        # the first call answers from the table, with no batch of one
-        monkeypatch.delattr(revival, "_pair_entries")
+        # the first call answers from the table, with no block of one pair
+        real, blocks = revival._gate_block, []
+
+        def recording(D, rows, cols):
+            blocks.append((rows, cols))
+            return real(D, rows, cols)
+
+        monkeypatch.setattr(revival, "_gate_block", recording)
         certify_fr(D, 0, 6)
+        assert blocks == [(slice(None), slice(None))]
         rows = D.memo["gates"]
         assert (rows.n, rows.m) == (7, D.m)
         assert (type(rows.flags), rows.ratio.typecode, rows.signs.typecode) \
@@ -423,12 +436,73 @@ class TestGateTable:
         cert = certify_fr(D, 0, 25)
         assert "gates" not in D.memo
         referee = decompose(X)
-        referee.memo["gates"] = revival._gate_rows(referee)
+        referee.memo["gates"] = revival._gate_rows(referee, slice(None),
+                                                   slice(None))
         doc = cert.to_json_dict()
         assert doc == certify_fr(referee, 0, 25).to_json_dict()
         assert (doc["verdict"], doc["gamma"], doc["parallel"],
                 doc["cospectral"], len(doc["C_plus"]),
                 len(doc["C_minus"])) == ("none", "0/1", True, True, 13, 13)
+
+    def test_pair_block_matches_table_and_reference(self):
+        """The gates of a block [a] x [b], bit for bit (a zero ratio may
+        differ in sign): below the guard, the table's entry [a, b]; past
+        it, and on the quotient's pairs, the reference kernel's gates of
+        the pair's entries read from its rows over the n vertices (a
+        quotient's cell rows lifted), with the reach their max."""
+
+        def block_gates(D, a, b):
+            flags, ratio, signs = revival._gates(*_gate_block(D, [a], [b]))
+            return int(flags[0, 0]), float(ratio[0, 0]), signs[0, 0].tolist()
+
+        def reference(D, a, b):
+            rows = lift(D.projector_rows([a, b])[0], D, 1)
+            reach = abs(rows).max(axis=1)
+            flags, ratio, signs = _reference_gates(
+                rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1])
+            return int(flags), float(ratio), signs.tolist()
+
+        import networkx as nx
+        rng = np.random.default_rng(28)
+        graphs = []
+        for n in (6, 9, 12, 20, 24, 32):
+            g = nx.gnp_random_graph(n, 0.4, seed=int(rng.integers(2**31)))
+            if nx.is_connected(g):
+                X = Graph.from_edges(n, list(g.edges()))
+                graphs += [X, cartesian_product(build_path(2), X)]
+        # prisms C_m x K2, with repeated eigenvalues, on both sides of it
+        graphs += [cartesian_product(build_path(2), Graph.from_edges(
+            m, [(i, (i + 1) % m) for i in range(m)])) for m in (4, 13)]
+        below = past = 0
+        repeated = set()
+        for X in graphs:
+            D = decompose(X)
+            pairs = rng.choice(D.n, (12, 2), replace=True).tolist()
+            pairs = [(a, b) for a, b in pairs if a != b]
+            fits = D.n ** 2 * D.m <= revival._TABLE_MAX_ENTRIES
+            if D.m < D.n:
+                repeated.add(fits)
+            if fits:
+                rows = revival._gate_rows(D, slice(None), slice(None))
+                for a, b in pairs:
+                    i, m = a * D.n + b, D.m
+                    table = (rows.flags[i], rows.ratio[i],
+                             rows.signs[i * m:(i + 1) * m].tolist())
+                    assert block_gates(D, a, b) == table, (D.n, a, b)
+                    below += 1
+            else:
+                for a, b in pairs:
+                    assert block_gates(D, a, b) == reference(D, a, b)
+                    past += 1
+        quotient = 0
+        for a, k, c in itertools.product((1, 2, 5), (1, 3, 6), (2, 7)):
+            D = stellar_decompose(a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                assert D.on_quotient(pair)
+                assert block_gates(D, *pair) == reference(D, *pair)
+                quotient += 1
+        assert below > 20 and past > 20 and quotient == 36
+        assert repeated == {True, False}
 
     def test_exact_gamma_skips_the_ratio(self, monkeypatch):
         calls = []
@@ -507,7 +581,7 @@ class TestVerifyFRAt:
                 for t in (0.0, 0.4, 1.0, math.pi / 2, math.pi, 5.1):
                     got = verify_fr_at(D, *pair, t)
                     ref = _fr_observation(transition_rows(D, list(pair), t),
-                                          *pair, t)
+                                          list(pair), t)
                     assert (got.t, got.off_block_norm, got.cross_amplitude) \
                         == (ref.t, ref.off_block_norm, ref.cross_amplitude)
                     assert got.block.tobytes() == ref.block.tobytes()

@@ -9,15 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from referees import (adjacency, build_path, build_star, poly_sub, projectors,
-                      stellar_center_blocks, stellar_partition, surd_values,
-                      symmetrized_quotient, theta_squares, transition_matrix,
-                      unitarity_error)
+from referees import (adjacency, build_path, build_star, lift, poly_sub,
+                      projectors, stellar_center_blocks, stellar_partition,
+                      surd_values, symmetrized_quotient, theta_squares,
+                      transition_matrix, transition_rows, unitarity_error)
 from revival_lab.exact import charpoly_int
 from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
-                                  stellar_decompose, transition_rows)
+                                  stellar_decompose)
 from revival_lab.stellar import analyze
 from revival_lab.transfer import polygamy_witness
 
@@ -93,7 +93,8 @@ class TestTransitionMatrix:
 
 def center_blocks(D):
     """The blocks of every E_r on the centers {0, 1}, as (2, 2, m)."""
-    return D.projector_rows([0, 1])[:, [0, 1]]
+    P, cols = D.projector_rows([0, 1])
+    return P[:, cols]
 
 
 class TestStellarDecompose:
@@ -229,7 +230,8 @@ class TestFactoredParity:
         for name, D, E, pairs in parity_cases:
             for a, b in pairs:
                 ref = np.stack([P[np.ix_([a, b], [a, b])] for P in E], -1)
-                blocks = D.projector_rows([a, b])[:, [a, b]]
+                P, cols = D.projector_rows([a, b])
+                blocks = P[:, cols]
                 assert np.abs(blocks - ref).max() < 1e-12, name
 
     def test_adjacency_and_transition_matrix(self, parity_cases):
@@ -280,7 +282,8 @@ class TestStellarQuotient:
             ref = self.dense(D)
             label = (a, k, c)
             for rows in ([0, 1], [1, 0], [1]):
-                assert np.abs(D.projector_rows(rows) - ref.projector_rows(rows)).max() < 1e-12, label
+                P = lift(D.projector_rows(rows)[0], D, 1)
+                assert np.abs(P - ref.projector_rows(rows)[0]).max() < 1e-12, label
             tau = analyze(a, k, c).tau_min
             for t in (0.4, 2.3, tau or 5.1):
                 U = transition_rows(D, [0, 1], t)

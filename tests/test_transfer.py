@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from referees import (average_state_equality, build_path, cartesian_product,
                       induced_subgraph, induced_transfer_check, is_periodic,
+                      lifted_product_rows, lifted_subset_transfer,
                       projectors, state_matrix, transition_matrix)
 from revival_lab.exact import charpoly_int
 from revival_lab.graphs import Graph, build_stellar
-from revival_lab.revival import certify_fr, verify_fr_at
+from revival_lab.revival import _fr_observation, certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import subset_state
+from revival_lab.stellar import generate_polygamy_triple
 from revival_lab.transfer import (ZERO_BLOCKS, detect_subset_transfer,
                                   induced_cospectrality, polygamy_witness)
 
@@ -86,6 +89,23 @@ class TestDetectSubsetTransfer:
                                               True, True, False, True],
                        "induced_cospectral": True,
                        "complement_cospectral": False, "is_transfer": False}
+
+
+    def test_fused_star_cells_match_the_lifted_rows(self):
+        """Read over the quotient's cells, the residual and the zero blocks
+        of every X(a, k, c) with a, k, c <= 6 equal those read from the
+        rows lifted to all n vertices, bit for bit, for S, T within the
+        centers at three times."""
+        sides = [{0}, {1}, {0, 1}]
+        for a, k, c in itertools.product(range(1, 7), repeat=3):
+            D = stellar_decompose(a, k, c)
+            for S, T in itertools.product(sides, repeat=2):
+                for t in (0.4, math.pi / 2, math.pi):
+                    report = detect_subset_transfer(D, S, T, t)
+                    residual, pattern = lifted_subset_transfer(D, S, T, t)
+                    assert report.residual.hex() == residual.hex(), (a, k, c)
+                    assert report.block_zero_pattern == pattern, (a, k, c)
+            assert "vectors" not in vars(D)
 
 
 class TestInducedCospectrality:
@@ -269,6 +289,61 @@ class TestPolygamyWitness:
             assert abs(obs.cross_amplitude - ref.cross_amplitude) < 1e-12
             assert np.abs(obs.block - ref.block).max() < 1e-12
         assert report.twin_pair == (0, X.n) and report.center_pair == (0, 1)
+
+    def test_cells_match_the_lifted_rows(self):
+        """Read over the cells of K2 times the quotient, both observations
+        equal those read from the rows lifted to all 2n vertices, bit for
+        bit, on the polygamy triples of p = 5, 13, 17 and 29 with r <= 3 and
+        n <= 3,000."""
+        checked = 0
+        for p, r in itertools.product((5, 13, 17, 29), (1, 2, 3)):
+            a, k, c = generate_polygamy_triple(p, r)
+            n = a + k + c + 2
+            if n > 3000:
+                continue
+            report = polygamy_witness(a, k, c, (p - 1) // 2)
+            D = stellar_decompose(a, k, c)
+            for vertices, pair, t, obs in [
+                    ([(0, 0), (1, 0)], [0, n], report.twin_time,
+                     report.twin_observation),
+                    ([(0, 0), (0, 1)], [0, 1], report.center_time,
+                     report.center_observation)]:
+                ref = _fr_observation(lifted_product_rows(D, vertices, t),
+                                      pair, t)
+                assert (obs.t, obs.off_block_norm, obs.cross_amplitude) \
+                    == (ref.t, ref.off_block_norm, ref.cross_amplitude)
+                assert obs.block.tobytes() == ref.block.tobytes()
+            assert report.is_polygamous
+            checked += 1
+        assert checked == 6
+
+    def test_huge_triple_within_one_gib(self):
+        """The p = 5, r = 10^6 triple has n about 5 10^13: over the cells
+        the witness answers in a child process capped at 1 GiB of address
+        space, where rows over the vertices would take petabytes."""
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import revival_lab
+
+        def capped():
+            cap = 2**30
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        a, k, c = generate_polygamy_triple(5, 10**6)
+        src = str(Path(revival_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "revival_lab.cli", "product",
+             "--stellar", f"{a},{k},{c}", "--ell", "2"],
+            env=env, preexec_fn=capped, capture_output=True, text=True,
+            timeout=120)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        assert '"is_polygamous": true' in done.stdout
 
     def test_rejects_wrong_tau(self):
         with pytest.raises(ValueError, match="not pi/3"):
