@@ -191,11 +191,11 @@ def _gate_block(D: SpectralDecomposition, rows: list[int] | slice,
 
 
 class _GateRows(NamedTuple):
-    """A block's gates in flat stdlib buffers, read with no numpy scalar
-    access: pair (rows[i], cols[j]) is entry p = i n + j of ``flags`` and
-    ``ratio``, and its signs are ``signs[p m:(p + 1) m]``. Over the connected
-    graphs on at most 7 vertices the tables take 1.1 KB a graph, where
-    nested lists of Python numbers took 8.8 KB."""
+    """The gate table in flat stdlib buffers, read with no numpy scalar
+    access: pair (a, b) is entry i = a n + b of ``flags`` and ``ratio``, and
+    its signs are ``signs[i m:(i + 1) m]``. Over the connected graphs on at
+    most 7 vertices they take 1.1 KB a graph, where nested lists of Python
+    numbers took 8.8 KB."""
 
     n: int
     m: int
@@ -204,32 +204,34 @@ class _GateRows(NamedTuple):
     signs: array  # of int8
 
 
-def _gate_rows(D: SpectralDecomposition, rows: list[int] | slice,
-               cols: list[int] | slice, with_ratio: bool = True) -> _GateRows:
-    flags, ratio, signs = _gates(*_gate_block(D, rows, cols), with_ratio)
-    return _GateRows(flags.shape[1], D.m, flags.tobytes(),
-                     array("d", ratio.tobytes()), array("b", signs.tobytes()))
+def _gate_rows(D: SpectralDecomposition) -> _GateRows:
+    flags, ratio, signs = _gates(*_gate_block(D, slice(None), slice(None)))
+    return _GateRows(D.n, D.m, flags.tobytes(), array("d", ratio.tobytes()),
+                     array("b", signs.tobytes()))
 
 
 def _pair_gates(D: SpectralDecomposition, a: int, b: int,
-                with_ratio: bool) -> tuple[int, float, array]:
+                with_ratio: bool) -> tuple[int, float, list[int] | array]:
     """The flags, the gamma ratio and the signs of (a, b).
 
     A decomposition's first certification builds the table of all pairs,
     if it fits, and keeps it in ``D.memo``. A pair that the decomposition's
     quotient answers does not build it: the table needs the dense
-    eigenvectors. Without a table, the pair is a block of its own.
+    eigenvectors. Without a table, the pair is the block [a] x [b], whose
+    entries go to the kernel as (m,) arrays: numpy's per-call cost grows
+    with the number of axes.
     """
-    block = D.memo.get("gates")
-    if block is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
+    rows = D.memo.get("gates")
+    if rows is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
             and not D.on_quotient([a, b]):
-        block = D.memo["gates"] = _gate_rows(D, slice(None), slice(None))
-    if block is None:
-        block, i = _gate_rows(D, [a], [b], with_ratio), 0
-    else:
-        i = a * block.n + b
-    m = block.m
-    return block.flags[i], block.ratio[i], block.signs[i * m:(i + 1) * m]
+        rows = D.memo["gates"] = _gate_rows(D)
+    if rows is None:
+        aa, bb, ab, reach_a, reach_b = _gate_block(D, [a], [b])
+        flags, ratio, signs = _gates(aa[0, 0], bb[0], ab[0, 0], reach_a[0, 0],
+                                     reach_b[0], with_ratio)
+        return int(flags), float(ratio), signs.tolist()
+    i, m = a * rows.n + b, rows.m
+    return rows.flags[i], rows.ratio[i], rows.signs[i * m:(i + 1) * m]
 
 
 def _integer_of(x: float, tol: float) -> int | None:

@@ -6,6 +6,7 @@ import math
 import time
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,20 +217,16 @@ class TestCertifyFR:
 
 
 def test_singleton_pair_entries_match_projector_rows(parity_cases):
-    """With every eigenvalue simple, the entries of the block [a] x [b] are
-    products of rows of V: V[a] V[a], V[b] V[b], V[a] V[b], and the reaches
-    |V[a]| max_v |V[v]| and |V[b]| max_v |V[v]|, bit for bit (rounding
-    preserves order, so the max of the products is the product of the
-    max)."""
+    """With every eigenvalue simple, the block [a] x [b] reads rows of V;
+    its five arrays equal those read from projector_rows, bit for bit."""
     checked = 0
     for name, D, _, pairs in parity_cases:
         if D.m != D.n or D.factors is None:
             continue
-        V = D.vectors
-        peak = abs(V).max(axis=0)
         for a, b in pairs:
-            ra, rb = V[a], V[b]
-            ref = (ra * ra, rb * rb, ra * rb, abs(ra) * peak, abs(rb) * peak)
+            P, cols = D.projector_rows([a, b])
+            own, reach = P[:, cols], abs(P).max(axis=1)
+            ref = (own[0, 0], own[1, 1], own[0, 1], reach[0], reach[1])
             got = _gate_block(D, [a], [b])
             assert all(np.array_equal(x.reshape(-1), y)
                        for x, y in zip(got, ref)), name
@@ -302,16 +299,16 @@ class TestGateKernel:
         D = decompose(build_path(400))
         for pair in ((0, 399), (1, 2)):
             certify_fr(D, *pair)
-        assert refereed == [(1, 1), (1, 1)] and "gates" not in D.memo
+        assert refereed == [(), ()] and "gates" not in D.memo
 
     def test_fused_star_centers(self, refereed):
         for a, k, c in [(3, 2, 6), (1, 4, 1), (12, 6, 28), (58, 46, 127)]:
             D = stellar_decompose(a, k, c)
-            for a, b in ((0, 1), (1, 0)):
-                certify_fr(D, a, b)  # the exact gamma: no ratio
+            for pair in ((0, 1), (1, 0)):
+                certify_fr(D, *pair)  # the exact gamma: no ratio
                 for with_ratio in (True, False):
-                    revival._gates(*_gate_block(D, [a], [b]), with_ratio)
-        assert refereed == [(1, 1)] * 24
+                    revival._pair_gates(D, *pair, with_ratio)
+        assert refereed == [()] * 24 and "gates" not in D.memo
 
     def test_stacked_batch(self, refereed):
         """200 seeded 10-vertex graphs, every pair of each at once."""
@@ -352,21 +349,25 @@ class TestGateTable:
     @staticmethod
     def assert_paths_agree(D, label):
         """Every ordered pair: the table rows built by D's first
-        certification against the batch-of-one gates of the pair, bit for
-        bit (the ratio through float.hex)."""
+        certification against the gates of the pair alone, read from a copy
+        of D with the guard at 0, bit for bit (the ratio through
+        float.hex)."""
         certify_fr(D, 0, 1)
         rows = D.memo.get("gates")
         assert (rows is not None) == (
             D.n ** 2 * D.m <= revival._TABLE_MAX_ENTRIES), label
         if rows is None:
             return
-        for a, b in itertools.permutations(range(D.n), 2):
-            flags, ratio, signs = revival._gates(*_gate_block(D, [a], [b]))
-            i = a * D.n + b
-            assert rows.flags[i] == int(flags[0, 0]), (label, a, b)
-            assert rows.ratio[i].hex() == float(ratio[0, 0]).hex(), (label, a, b)
-            assert rows.signs[i * D.m:(i + 1) * D.m].tolist() \
-                == signs[0, 0].tolist(), (label, a, b)
+        alone = replace(D)
+        with mock.patch.object(revival, "_TABLE_MAX_ENTRIES", 0):
+            for a, b in itertools.permutations(range(D.n), 2):
+                flags, ratio, signs = revival._pair_gates(alone, a, b, True)
+                i = a * D.n + b
+                assert rows.flags[i] == flags, (label, a, b)
+                assert rows.ratio[i].hex() == ratio.hex(), (label, a, b)
+                assert rows.signs[i * D.m:(i + 1) * D.m].tolist() == signs, \
+                    (label, a, b)
+        assert "gates" not in alone.memo
 
     def test_atlas_paths_agree(self, refereed):
         import networkx as nx
@@ -378,8 +379,8 @@ class TestGateTable:
                     decompose(Graph.from_edges(n, list(g.edges()))), i)
                 count += 1
         assert count == 995  # every connected graph on 2..7 vertices
-        # each table, then each ordered pair as a block [a] x [b]
-        assert refereed.count((1, 1)) == len(refereed) - count
+        # each table, then each ordered pair alone
+        assert refereed.count(()) == len(refereed) - count
 
     def test_random_graphs_paths_agree(self, refereed):
         import networkx as nx
@@ -392,8 +393,7 @@ class TestGateTable:
             self.assert_paths_agree(D, n)
         # every spectrum is simple, so n^3 <= 2^13 fails from n = 21 on
         assert crossed == 4
-        assert [x for x in refereed if x != (1, 1)] \
-            == [(n, n) for n in (8, 13, 20)]
+        assert [x for x in refereed if x] == [(n, n) for n in (8, 13, 20)]
 
     def test_built_on_first_call_and_compact(self, monkeypatch):
         D = decompose(build_path(7))
@@ -436,24 +436,27 @@ class TestGateTable:
         cert = certify_fr(D, 0, 25)
         assert "gates" not in D.memo
         referee = decompose(X)
-        referee.memo["gates"] = revival._gate_rows(referee, slice(None),
-                                                   slice(None))
+        referee.memo["gates"] = revival._gate_rows(referee)
         doc = cert.to_json_dict()
         assert doc == certify_fr(referee, 0, 25).to_json_dict()
         assert (doc["verdict"], doc["gamma"], doc["parallel"],
                 doc["cospectral"], len(doc["C_plus"]),
                 len(doc["C_minus"])) == ("none", "0/1", True, True, 13, 13)
 
-    def test_pair_block_matches_table_and_reference(self):
-        """The gates of a block [a] x [b], bit for bit (a zero ratio may
-        differ in sign): below the guard, the table's entry [a, b]; past
-        it, and on the quotient's pairs, the reference kernel's gates of
-        the pair's entries read from its rows over the n vertices (a
-        quotient's cell rows lifted), with the reach their max."""
+    def test_pair_block_matches_table_and_reference(self, monkeypatch):
+        """The gates of a lone pair, read from its block [a] x [b], bit for
+        bit (a zero ratio may differ in sign): below the guard, the table's
+        entry [a, b]; past it, and on the quotient's pairs, the reference
+        kernel's gates of the pair's entries read from its rows over the n
+        vertices (a quotient's cell rows lifted), with the reach their
+        max."""
+        guard = revival._TABLE_MAX_ENTRIES
+        # with the guard at 0 no pair builds the table: each is a lone pair
+        monkeypatch.setattr(revival, "_TABLE_MAX_ENTRIES", 0)
 
         def block_gates(D, a, b):
-            flags, ratio, signs = revival._gates(*_gate_block(D, [a], [b]))
-            return int(flags[0, 0]), float(ratio[0, 0]), signs[0, 0].tolist()
+            flags, ratio, signs = revival._pair_gates(D, a, b, True)
+            return flags, ratio, list(signs)
 
         def reference(D, a, b):
             rows = lift(D.projector_rows([a, b])[0], D, 1)
@@ -479,11 +482,11 @@ class TestGateTable:
             D = decompose(X)
             pairs = rng.choice(D.n, (12, 2), replace=True).tolist()
             pairs = [(a, b) for a, b in pairs if a != b]
-            fits = D.n ** 2 * D.m <= revival._TABLE_MAX_ENTRIES
+            fits = D.n ** 2 * D.m <= guard
             if D.m < D.n:
                 repeated.add(fits)
             if fits:
-                rows = revival._gate_rows(D, slice(None), slice(None))
+                rows = revival._gate_rows(D)
                 for a, b in pairs:
                     i, m = a * D.n + b, D.m
                     table = (rows.flags[i], rows.ratio[i],
