@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,60 +19,73 @@ import numpy as np
 def square_free_part(n: int, steps: float = math.inf) -> tuple[int, int]:
     """Split a positive integer as n = delta * m**2 with delta square-free.
 
-    Returns (delta, m). Raises ArithmeticError when a split of n takes more
-    than ``steps`` steps of Pollard-Brent rho or of trial division past
-    _TRIAL_LIMIT.
+    Returns (delta, m). Primes p are divided out while p**3 <= the cofactor.
+    Once p**3 > it, the cofactor has at most two prime factors, each >= p,
+    so it is 1, q, q**2 or q*r, and one isqrt splits it. A cofactor with
+    p**3 <= it past _TRIAL_LIMIT goes to _prime_factors. Raises
+    ArithmeticError when a split of that cofactor takes more than ``steps``
+    steps of Pollard-Brent rho or of trial division past _TRIAL_LIMIT.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
-    delta, m = 1, 1
-    for p, e in Counter(_prime_factors(n, steps=steps)).items():
-        m *= p ** (e // 2)
+    primes, p = [], 2
+    while p < _TRIAL_LIMIT and p * p * p <= n:
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if p * p * p <= n:
+        primes += _prime_factors(n, p, steps)
+        n = 1
+    r = math.isqrt(n)
+    delta, m = (1, r) if r * r == n else (n, 1)
+    for q in set(primes):
+        e = primes.count(q)
+        m *= q ** (e // 2)
         if e % 2:
-            delta *= p
+            delta *= q
     return delta, m
 
 
-# Trial division finds the primes below this; larger ones are split off by
-# Pollard-Brent rho, with a gcd taken every _RHO_BATCH steps.
+# square_free_part divides out the primes below this; a cofactor past it
+# is split by Pollard-Brent rho, with a gcd taken every _RHO_BATCH steps.
 _TRIAL_LIMIT = 1000
 _RHO_BATCH = 128
 
 
 def _trial_division(n: int, d: int, limit: float) -> tuple[list[int], int, int]:
-    """Divide out of n the primes from d up to below ``limit`` while d**2 <= n;
-    returns (primes with multiplicity, cofactor, next d)."""
+    """Divide out of n the primes among the odd numbers from an odd d up to
+    below ``limit`` while d**2 <= n; returns (primes with multiplicity,
+    cofactor, next d)."""
     primes = []
     while d < limit and d * d <= n:
         while n % d == 0:
             primes.append(d)
             n //= d
-        d += 1 if d == 2 else 2
+        d += 2
     return primes, n, d
 
 
-def _prime_factors(n: int, d: int = 2, steps: float = math.inf) -> list[int]:
+def _prime_factors(n: int, d: int, steps: float = math.inf) -> list[int]:
     """The prime factors, with multiplicity, of an n >= 1 that has none
-    below d. Past _TRIAL_LIMIT a cofactor is prime when below d**2 or when
-    ``is_prime`` proves it, and is split by Pollard-Brent rho otherwise. A
-    probable prime past the proven range of ``is_prime`` is left to trial
-    division, so the result is exact either way. Each rho split and that
-    trial division may take ``steps`` steps; past them ArithmeticError is
-    raised."""
-    primes, n, d = _trial_division(n, d, _TRIAL_LIMIT)
+    below d, where d is past _TRIAL_LIMIT. n is prime when below d**2 or
+    when ``is_prime`` proves it, and is split by Pollard-Brent rho
+    otherwise. A probable prime past the proven range of ``is_prime`` is
+    left to trial division, so the result is exact either way. Each rho
+    split and that trial division may take ``steps`` steps; past them
+    ArithmeticError is raised."""
     if d * d <= n:
         try:
             prime = is_prime(n)
         except ValueError:
-            more, n, d = _trial_division(n, d, d + 2 * steps)
+            primes, n, d = _trial_division(n, d, d + 2 * steps)
             if d * d <= n:
                 raise ArithmeticError(f"{n} not split in {steps} steps")
-            return primes + more + ([n] if n > 1 else [])
+            return primes + ([n] if n > 1 else [])
         if not prime:
             q = _pollard_brent(n, steps)
-            return (primes + _prime_factors(q, d, steps)
-                    + _prime_factors(n // q, d, steps))
-    return primes + ([n] if n > 1 else [])
+            return _prime_factors(q, d, steps) + _prime_factors(n // q, d, steps)
+    return [n] if n > 1 else []
 
 
 def _pollard_brent(n: int, steps: float = math.inf) -> int:

@@ -276,7 +276,12 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
     threshold = GROUPING_TOL * max(1.0, theta5)
     groups, warnings = _group_eigenvalues(np.array(eigenvalues), threshold)
     if len(groups) != 6:
-        raise ArithmeticError("unexpected eigenvalue multiplicities")
+        # the exact eigenvalues are distinct, but a gap (theta3, or
+        # theta5 - theta3) is too small next to theta5 for float grouping
+        gap = min(theta3, theta5 - theta3)
+        raise ValueError(
+            f"X({a}, {k}, {c}) is beyond float resolution: eigenvalue gap "
+            f"{gap:.3e} below the grouping threshold {threshold:.3e}")
     # eigh ascends; the cells go from the path's order a, {0}, k, {1}, c to
     # build_stellar's vertex order {0}, {1}, a, k, c
     sizes = (1, 1, a, k, c)

@@ -20,7 +20,7 @@ POSITIVITY_RATIO = math.sqrt((math.sqrt(2) - 1) / (math.sqrt(2) + 1))
 _SURD_STEPS = 2 ** 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StellarAnalysis:
     """Exact FR verdict on the centers {0, 1} of X(a, k, c), decided from
     the integers mu = 2k + a + c and sigma = 4k^2 + (a - c)^2.
@@ -52,6 +52,17 @@ class StellarAnalysis:
     tau_min: float | None = None
     min_period: float | None = None
     two_adic: tuple[int, int] | None = None
+
+    def __init__(self, a, k, c, mu, sigma, delta=None, alpha=None, beta=None,
+                 verdict="no-FR", tau_min=None, min_period=None,
+                 two_adic=None):
+        # one update of the instance dict, as in RevivalCertificate: the
+        # generated __init__ sets each field with object.__setattr__, and an
+        # analysis is built on every call of analyze
+        self.__dict__.update(
+            a=a, k=k, c=c, mu=mu, sigma=sigma, delta=delta, alpha=alpha,
+            beta=beta, verdict=verdict, tau_min=tau_min,
+            min_period=min_period, two_adic=two_adic)
 
     @property
     def gamma(self) -> Fraction:
@@ -102,7 +113,7 @@ def analyze(a: int, k: int, c: int) -> StellarAnalysis:
     Only integers enter: isqrt settles whether sigma is a square, and the
     square-free parts of the two integer squares are taken only when it is.
     """
-    if min(a, k, c) < 1:
+    if a < 1 or k < 1 or c < 1:
         raise ValueError("all of a, k, c must be positive")
     mu = 2 * k + a + c
     sigma = 4 * k * k + (a - c) ** 2

@@ -136,6 +136,20 @@ class TestAnalyzeCommand:
         code, text = run_cli(["analyze", "--stellar", "3,2,6"])
         assert code == 0 and "decomposition_warnings" not in json.loads(text)
 
+    def test_beyond_float_resolution_exit_two(self, capsys):
+        """On X(1, 10^18, 2) the gap theta3 - 0 falls under the grouping
+        threshold GROUPING_TOL * theta5: an input error that names both,
+        while the exact analysis of the same triple still answers."""
+        code, text = run_cli(["analyze", "--stellar", "1,1000000000000000000,2",
+                              "--pair", "0", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err == ("error: X(1, 1000000000000000000, 2) is beyond float "
+                       "resolution: eigenvalue gap 1.225e+00 below the "
+                       "grouping threshold 1.414e+00\n")
+        code, text = run_cli(["stellar", "--stellar", "1,1000000000000000000,2"])
+        assert code == 1 and json.loads(text)["verdict"] == "no-FR"
+
 
 class TestStellarCommand:
     def test_json(self):

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from referees import build_path, poly_mul, poly_sub
 from revival_lab import exact
-from revival_lab.exact import (charpoly_int, fermat_two_squares, is_prime,
-                               rationalize, square_free_part,
-                               two_adic_valuation)
+from revival_lab.exact import (_TRIAL_LIMIT, charpoly_int,
+                               fermat_two_squares, is_prime, rationalize,
+                               square_free_part, two_adic_valuation)
 from revival_lab.graphs import Graph, build_stellar
 from revival_lab.spectral import char_poly_suite
+from revival_lab.stellar import _SURD_STEPS
 
 
 class TestSquareFreePart:
@@ -71,6 +72,89 @@ class TestSquareFreePart:
             assert square_free_part(p * p) == (1, p)
             assert square_free_part(12 * p * p * q) == (3 * q, 2 * p)
             assert square_free_part(p ** 3 * q ** 2) == (p, p * q)
+
+    @staticmethod
+    def split_of(primes):
+        """(delta, m) of the product of ``primes``, read from the exponents."""
+        delta, m = 1, 1
+        for q in set(primes):
+            e = primes.count(q)
+            delta *= q ** (e % 2)
+            m *= q ** (e // 2)
+        return delta, m
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+        real = exact._prime_factors
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(exact, "_prime_factors", counting)
+        return calls
+
+    def test_cube_root_boundary(self, factor_calls):
+        """p**3, p**2 q, p q**2 and p q with q the primes next to p: the
+        cube root of n falls between p and q, or on p. Trial division
+        stops once p**3 exceeds the cofactor, and the cofactor left (1, q,
+        q**2 or q r) is split by one isqrt. Below 10**9 nothing reaches
+        _prime_factors."""
+        primes = [q for q in range(2, 1000) if is_prime(q)]
+        for i in [*range(25), *range(len(primes) - 6, len(primes) - 1)]:
+            p = primes[i]
+            for q in (primes[i - 1] if i else 2, p, primes[i + 1]):
+                for factors in ([p] * 3, [p, p, q], [p, q, q], [p, q]):
+                    n = math.prod(factors)
+                    expected = self.split_of(factors)
+                    assert square_free_part(n) == expected, factors
+                    if n < 10**8:
+                        assert self.trial_division(n) == expected, factors
+        assert factor_calls == []
+
+    def test_products_of_three_primes_below_1000(self, factor_calls):
+        primes = [q for q in range(2, 1000) if is_prime(q)]
+        rng = random.Random(29)
+        for i in range(3000):
+            factors = [rng.choice(primes) for _ in range(3)]
+            n = math.prod(factors)
+            assert square_free_part(n) == self.split_of(factors), factors
+            if i < 100:
+                assert square_free_part(n) == self.trial_division(n), factors
+        assert factor_calls == []
+
+    @pytest.mark.parametrize("factors", [
+        [1009, 1009, 1013], [1009, 1013, 1019], [1009] * 3,
+        [2, 2, 3, 1009, 1013, 1019], [1009] * 4, [1013, 1019, 1021, 1031]])
+    def test_cofactors_past_the_trial_limit(self, factors, factor_calls):
+        """A cofactor past 10**9 with no prime below _TRIAL_LIMIT may have
+        three or more prime factors: it goes to _prime_factors."""
+        n = math.prod(factors)
+        assert square_free_part(n) == self.split_of(factors)
+        assert square_free_part(n) == self.trial_division(n)
+        assert factor_calls[0] == math.prod(q for q in factors
+                                            if q > _TRIAL_LIMIT)
+
+    def test_step_budget_still_bounds_the_split(self):
+        # sigma of X(1, 10**15, 2): two 16-digit primes, not split by
+        # Pollard-Brent within the budget that the surd display allows
+        with pytest.raises(ArithmeticError):
+            square_free_part(4 * 10**30 + 1, steps=_SURD_STEPS)
+
+    def test_probable_prime_past_the_proven_range(self):
+        """A probable prime past the bound of is_prime goes to trial
+        division, which the step budget stops."""
+        q = exact._MR_BOUND | 1
+        while True:
+            try:
+                is_prime(q)
+            except ValueError:
+                break
+            q += 2
+        for n in (q, 12 * q):
+            with pytest.raises(ArithmeticError):
+                square_free_part(n, steps=1000)
 
 
 class TestTwoAdic:

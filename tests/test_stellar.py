@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,8 +8,9 @@ import pytest
 from referees import double_star_tree, theta_squares
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import decompose, stellar_decompose
-from revival_lab.stellar import (FamilyRecipe, analyze, diophantine_check,
-                                 generate_family, generate_polygamy_triple)
+from revival_lab.stellar import (FamilyRecipe, StellarAnalysis, analyze,
+                                 diophantine_check, generate_family,
+                                 generate_polygamy_triple)
 
 
 class TestAnalyze:
@@ -93,6 +95,25 @@ class TestAnalyze:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             analyze(0, 1, 1)
+
+    @pytest.mark.parametrize("triple,verdict", [
+        ((1, 2, 3), "no-FR"), ((1, 16, 25), "improper-FR"),
+        ((3, 2, 6), "proper-FR")])
+    def test_frozen_dataclass_behaviour(self, triple, verdict):
+        """The one-update __init__ gives the same instance as setting each
+        field in turn, as the generated __init__ of a frozen dataclass does."""
+        an = analyze(*triple)
+        assert an.verdict == verdict
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            an.verdict = "proper-FR"
+        ref = object.__new__(StellarAnalysis)
+        for f in dataclasses.fields(StellarAnalysis):
+            object.__setattr__(ref, f.name, getattr(an, f.name))
+        assert an == ref and hash(an) == hash(ref) and repr(an) == repr(ref)
+        assert vars(an) == vars(ref)
+        other = dataclasses.replace(an, verdict="other")
+        assert other.verdict == "other" and other != an
+        assert dataclasses.replace(other, verdict=verdict) == an
 
 
 class TestDiophantine:
