@@ -165,6 +165,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=1)
 def fermat_two_squares(p: int) -> tuple[int, int]:
     """Write a prime p = 1 (mod 4) as f**2 + g**2 with f > g > 0.
 
@@ -172,7 +173,8 @@ def fermat_two_squares(p: int) -> tuple[int, int]:
     Number Theory, 1.5.2): x = c**((p - 1) / 4) mod p, for a quadratic
     non-residue c, is a square root of -1; the Euclidean algorithm on
     (p, x) stops at its first remainder below sqrt(p), which is f. That
-    takes O(log p) multiplications once c is found.
+    takes O(log p) multiplications once c is found. The last p is kept
+    for a family's many triples; a p that raises is not.
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"{p} is not a prime congruent to 1 mod 4")

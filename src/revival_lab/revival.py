@@ -113,13 +113,6 @@ def _first_ratio(diff: np.ndarray, ab: np.ndarray,
     return abs(residual) > GAMMA_RESIDUAL_TOL, ratio
 
 
-def _exact_gamma(D: SpectralDecomposition, a: int, b: int) -> Fraction | None:
-    """gamma of the fused-star centers, exactly; None for any other pair."""
-    if D.exact is None or (a, b) not in ((0, 1), (1, 0)):
-        return None
-    return D.exact.gamma if (a, b) == (0, 1) else -D.exact.gamma
-
-
 # Bit flags of a pair's gate outcomes.
 _PARALLEL, _COMMUTATIVE, _UNCLASSIFIED = 1, 2, 4
 # The gate table of all pairs is built from an (n, n, m) float array. Up to
@@ -140,13 +133,11 @@ class _Gates(NamedTuple):
 
 
 def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
-           reach_a: np.ndarray, reach_b: np.ndarray,
-           with_ratio: bool = True) -> _Gates:
-    """Every gate of certify_fr before conditions (c) and (d). Without
-    ``with_ratio`` (gamma is known exactly) the gamma ratio is not computed:
-    it reads 0 and the commutative flag stays clear. Each r has one byte of
-    the gates it violates and the unclassified bit (supported, in no class):
-    one OR over r, with the first two bits flipped, gives the flags."""
+           reach_a: np.ndarray, reach_b: np.ndarray) -> _Gates:
+    """Every gate of certify_fr before conditions (c) and (d). Each r has
+    one byte of the gates it violates and the unclassified bit (supported,
+    in no class): one OR over r, with the first two bits flipped, gives the
+    flags."""
     # the negligible level is SUPPORT_TOL * max(1, max_r |ab|), and |ab| <=
     # 1/2 for a != b: a 2x2 block of a projector lies between 0 and I
     pos, neg = ab > SUPPORT_TOL, ab < -SUPPORT_TOL
@@ -157,13 +148,9 @@ def _gates(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray,
     # |ab| <= reach_a, so a signed eigenvalue is always in the support
     supported = np.maximum(reach_a, reach_b) > SUPPORT_TOL
     bits |= (supported & ~weighty) * np.uint8(_UNCLASSIFIED)
-    if with_ratio:
-        broken, ratio = _first_ratio(aa - bb, ab, weighty)
-        bits |= broken * np.uint8(_COMMUTATIVE)
-    else:
-        ratio = np.zeros(ab.shape[:-1])
-    flags = np.bitwise_or.reduce(bits, axis=-1) ^ (
-        _PARALLEL | (_COMMUTATIVE if with_ratio else 0))
+    broken, ratio = _first_ratio(aa - bb, ab, weighty)
+    bits |= broken * np.uint8(_COMMUTATIVE)
+    flags = np.bitwise_or.reduce(bits, axis=-1) ^ (_PARALLEL | _COMMUTATIVE)
     return _Gates(flags, ratio, signs)
 
 
@@ -210,25 +197,22 @@ def _gate_rows(D: SpectralDecomposition) -> _GateRows:
                      array("b", signs.tobytes()))
 
 
-def _pair_gates(D: SpectralDecomposition, a: int, b: int,
-                with_ratio: bool) -> tuple[int, float, list[int] | array]:
+def _pair_gates(D: SpectralDecomposition, a: int,
+                b: int) -> tuple[int, float, list[int] | array]:
     """The flags, the gamma ratio and the signs of (a, b).
 
     A decomposition's first certification builds the table of all pairs,
-    if it fits, and keeps it in ``D.memo``. A pair that the decomposition's
-    quotient answers does not build it: the table needs the dense
-    eigenvectors. Without a table, the pair is the block [a] x [b], whose
-    entries go to the kernel as (m,) arrays: numpy's per-call cost grows
-    with the number of axes.
+    if it fits, and keeps it in ``D.memo``. Without a table, the pair is
+    the block [a] x [b], whose entries go to the kernel as (m,) arrays:
+    numpy's per-call cost grows with the number of axes.
     """
     rows = D.memo.get("gates")
-    if rows is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES \
-            and not D.on_quotient([a, b]):
+    if rows is None and D.n * D.n * D.m <= _TABLE_MAX_ENTRIES:
         rows = D.memo["gates"] = _gate_rows(D)
     if rows is None:
         aa, bb, ab, reach_a, reach_b = _gate_block(D, [a], [b])
         flags, ratio, signs = _gates(aa[0, 0], bb[0], ab[0, 0], reach_a[0, 0],
-                                     reach_b[0], with_ratio)
+                                     reach_b[0])
         return int(flags), float(ratio), signs.tolist()
     i, m = a * rows.n + b, rows.m
     return rows.flags[i], rows.ratio[i], rows.signs[i * m:(i + 1) * m]
@@ -279,11 +263,12 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
     if not D.connected:
         raise ValueError("certification requires a connected graph")
 
-    gamma = _exact_gamma(D, a, b)
-    flags, ratio, signs = _pair_gates(D, a, b, gamma is None)
+    if D.exact is not None and (a, b) in ((0, 1), (1, 0)):
+        return _stellar_certificate(D, a)
+    flags, ratio, signs = _pair_gates(D, a, b)
     parallel = bool(flags & _PARALLEL)
-    if gamma is None and flags & _COMMUTATIVE:
-        gamma = rationalize(ratio, tol=GAMMA_RESIDUAL_TOL)
+    gamma = rationalize(ratio, tol=GAMMA_RESIDUAL_TOL) \
+        if flags & _COMMUTATIVE else None
     commutative = gamma is not None
     # cospectral is the gamma = 0 case of (E_r)_aa - (E_r)_bb = gamma (E_r)_ab
     cospectral = gamma == 0
@@ -306,6 +291,26 @@ def certify_fr(D: SpectralDecomposition, a: int, b: int) -> RevivalCertificate:
     return RevivalCertificate((a, b), parallel, commutative, gamma,
                               cospectral, c_plus, c_minus,
                               *_revival_time(D, a, b, gamma, c_plus, c_minus))
+
+
+def _stellar_certificate(D: SpectralDecomposition,
+                         a: int) -> RevivalCertificate:
+    """The certificate of the fused-star centers (a, 1 - a), read from the
+    exact analysis ``D.exact`` alone. Their blocks of E_r have rank 1, and
+    +-theta share one (both centers lie on one side), so C+ = {+-theta5},
+    C- = {+-theta3} and g = 2 gcd(alpha, beta), the gcd of the within-class
+    gaps. At tau_min the block of U is (-1)^(beta/gcd) E+ + (-1)^(alpha/gcd)
+    E-: proper when the signs differ, and then PST exactly when a = c."""
+    e, th = D.exact, D.eigenvalues
+    gamma = e.gamma if a == 0 else -e.gamma
+    if e.verdict == "proper-FR":
+        verdict = "proper-PST" if gamma == 0 else "proper-FR"
+    else:
+        verdict = "none" if e.verdict == "no-FR" else "improper-only"
+    return RevivalCertificate(
+        (a, 1 - a), True, True, gamma, gamma == 0, (th[0], th[4]),
+        (th[1], th[3]), e.delta, e.alpha and 2 * math.gcd(e.alpha, e.beta),
+        e.tau_min, verdict, None if verdict == "improper-only" else e.two_adic)
 
 
 def _revival_time(D: SpectralDecomposition, a: int, b: int, gamma: Fraction,

@@ -109,20 +109,15 @@ class SpectralDecomposition:
             raise ArithmeticError("unexpected eigenvalue multiplicities")
         return D.vectors
 
-    def on_quotient(self, rows: list[int] | slice) -> bool:
-        """Whether the quotient answers queries on these rows."""
-        q = self.quotient
-        return (q is not None and not isinstance(rows, slice)
-                and all(u in q.singletons for u in rows))
-
     def _row_factors(self, rows: list[int] | slice) -> tuple:
         """(V[rows], V, bounds, cols) for a query on ``rows``: the
-        quotient's cell vectors, with one column per eigenvalue, when it
-        answers them, else the dense factors. A reader's columns are the
-        rows of V, cells or vertices, and ``cols`` picks those of ``rows``
-        from them as ``rows`` picks the vertices."""
-        if self.on_quotient(rows):
-            q = self.quotient
+        quotient's cell vectors, with one column per eigenvalue, when every
+        row is a singleton cell, else the dense factors. A reader's columns
+        are the rows of V, cells or vertices, and ``cols`` picks those of
+        ``rows`` from them as ``rows`` picks the vertices."""
+        q = self.quotient
+        if q is not None and not isinstance(rows, slice) \
+                and all(u in q.singletons for u in rows):
             cells = [q.singletons[u] for u in rows]
             return (q.vectors[cells], q.vectors, tuple(range(self.m + 1)),
                     cells)

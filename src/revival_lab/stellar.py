@@ -69,12 +69,9 @@ class StellarAnalysis:
         """Fractional-cospectrality scalar for the pair (0, 1)."""
         return Fraction(self.a - self.c, self.k)
 
-    @property
-    def cospectral(self) -> bool:
-        return self.a == self.c
-
     def to_json_dict(self) -> dict:
         theta3, theta5 = _theta_square_strings(self.mu, self.sigma)
+        gamma = self.gamma
         return {
             "a": self.a, "k": self.k, "c": self.c,
             "mu": self.mu, "sigma": self.sigma,
@@ -83,7 +80,7 @@ class StellarAnalysis:
             "verdict": self.verdict,
             "tau_min": self.tau_min, "min_period": self.min_period,
             "two_adic": list(self.two_adic) if self.two_adic else None,
-            "gamma": f"{self.gamma.numerator}/{self.gamma.denominator}",
+            "gamma": f"{gamma.numerator}/{gamma.denominator}",
         }
 
 

@@ -20,6 +20,7 @@ from revival_lab.revival import (RevivalCertificate, _fr_observation,
                                  _gate_block, certify_fr, verify_fr_at)
 from revival_lab.spectral import decompose, stellar_decompose
 from revival_lab.states import subset_state, support_graph
+from revival_lab.stellar import analyze
 
 
 class TestCospectralParallel:
@@ -216,6 +217,48 @@ class TestCertifyFR:
         assert doc["verdict"] == "proper-FR" and doc["gamma"] == "-3/2"
 
 
+class TestStellarCenters:
+    """The certificate of the fused-star centers is their exact analysis."""
+
+    VERDICTS = {"no-FR": "none", "improper-FR": "improper-only",
+                "proper-FR": "proper-FR"}
+
+    def test_large_cells_follow_the_analysis(self):
+        """X(3, j^2 - 1, 1): C-'s gap^2 is 8 - 2/k + O(1/k^2) and C+'s
+        integrality window exceeds 0.5 past k = 2.5e6, so float gates read
+        Delta = 2 for both classes and a proper pair on 518 of these
+        triples, where sigma is no square."""
+        for j in range(1000, 2100):
+            k = j * j - 1
+            an, cert = analyze(3, k, 1), certify_fr(stellar_decompose(3, k, 1),
+                                                    0, 1)
+            g = 2 * math.gcd(an.alpha, an.beta) if an.alpha else None
+            assert (cert.verdict, cert.delta, cert.g, cert.tau_min) == (
+                self.VERDICTS[an.verdict], an.delta, g, an.tau_min), j
+        assert certify_fr(stellar_decompose(3, 8999999, 1), 0, 1).verdict \
+            == "none"
+
+    def test_pst_exactly_when_a_equals_c(self):
+        """Every proper triple with a, k, c <= 40: the oracle at tau_min
+        reads PST (off-block and both diagonal entries below 1e-7) on the
+        26 with a = c, and a nonzero diagonal on the others."""
+        cospectral = others = 0
+        for a, k, c in itertools.product(range(1, 41), repeat=3):
+            if analyze(a, k, c).verdict != "proper-FR":
+                continue
+            D = stellar_decompose(a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                cert = certify_fr(D, *pair)
+                obs = verify_fr_at(D, *pair, cert.tau_min)
+                assert obs.off_block_norm < 1e-7, (a, k, c)
+                pst = max(abs(obs.block[0, 0]), abs(obs.block[1, 1])) < 1e-7
+                assert pst == (a == c), (a, k, c)
+                assert cert.verdict == ("proper-PST" if pst else "proper-FR")
+            cospectral += a == c
+            others += a != c
+        assert cospectral == 26 and others > 0
+
+
 def test_singleton_pair_entries_match_projector_rows(parity_cases):
     """With every eigenvalue simple, the block [a] x [b] reads rows of V;
     its five arrays equal those read from projector_rows, bit for bit."""
@@ -245,17 +288,12 @@ def _gamma_ratio(aa, bb, ab, tol):
     return (abs(residual) <= tol).all(axis=-1), ratio
 
 
-def _reference_gates(aa, bb, ab, reach_a, reach_b, with_ratio=True):
+def _reference_gates(aa, bb, ab, reach_a, reach_b):
     """The gate kernel as first written, less its cospectral bit (see
     TestCospectralIsGammaZero), the referee of revival._gates: one
     reduction over r per gate, and the three outcomes packed into flags by
     a matmul with their bit values."""
-    if with_ratio:
-        consistent, ratio = _gamma_ratio(aa, bb, ab,
-                                         revival.GAMMA_RESIDUAL_TOL)
-    else:  # the first kernel had np.False_, which fits only a batch of one
-        batch = np.shape(aa)[:-1]
-        consistent, ratio = np.zeros(batch, dtype=bool), np.zeros(batch)
+    consistent, ratio = _gamma_ratio(aa, bb, ab, revival.GAMMA_RESIDUAL_TOL)
     tol = revival.SUPPORT_TOL
     signs = np.subtract(ab > tol, ab < -tol, dtype=np.int8)
     supported = np.maximum(reach_a, reach_b) > tol
@@ -301,15 +339,6 @@ class TestGateKernel:
             certify_fr(D, *pair)
         assert refereed == [(), ()] and "gates" not in D.memo
 
-    def test_fused_star_centers(self, refereed):
-        for a, k, c in [(3, 2, 6), (1, 4, 1), (12, 6, 28), (58, 46, 127)]:
-            D = stellar_decompose(a, k, c)
-            for pair in ((0, 1), (1, 0)):
-                certify_fr(D, *pair)  # the exact gamma: no ratio
-                for with_ratio in (True, False):
-                    revival._pair_gates(D, *pair, with_ratio)
-        assert refereed == [()] * 24 and "gates" not in D.memo
-
     def test_stacked_batch(self, refereed):
         """200 seeded 10-vertex graphs, every pair of each at once."""
         rng = np.random.default_rng(16)
@@ -334,17 +363,15 @@ class TestGateKernel:
         ab, aa = spread(-10, -6), abs(spread(-6, 0))
         gamma = rng.integers(-3, 4, (4000, 1)) / 2
         bb = aa - gamma * ab - spread(-12, -5)
-        for with_ratio in (True, False):
-            revival._gates(aa, bb, ab, abs(spread(-10, -6)), abs(ab),
-                           with_ratio)
-        assert refereed == [(4000,), (4000,)]
+        revival._gates(aa, bb, ab, abs(spread(-10, -6)), abs(ab))
+        assert refereed == [(4000,)]
 
 
 class TestGateTable:
     """A decomposition's first certification builds the gates of all its
-    pairs at once, when n^2 m <= _TABLE_MAX_ENTRIES; past that guard, and
-    for a pair that the quotient answers, the same gates are evaluated on a
-    batch of one."""
+    pairs at once, when n^2 m <= _TABLE_MAX_ENTRIES; past that guard the
+    same gates are evaluated on a batch of one. The fused-star centers,
+    whose certificate is their exact analysis, reach neither."""
 
     @staticmethod
     def assert_paths_agree(D, label):
@@ -361,7 +388,7 @@ class TestGateTable:
         alone = replace(D)
         with mock.patch.object(revival, "_TABLE_MAX_ENTRIES", 0):
             for a, b in itertools.permutations(range(D.n), 2):
-                flags, ratio, signs = revival._pair_gates(alone, a, b, True)
+                flags, ratio, signs = revival._pair_gates(alone, a, b)
                 i = a * D.n + b
                 assert rows.flags[i] == flags, (label, a, b)
                 assert rows.ratio[i].hex() == ratio.hex(), (label, a, b)
@@ -455,7 +482,7 @@ class TestGateTable:
         monkeypatch.setattr(revival, "_TABLE_MAX_ENTRIES", 0)
 
         def block_gates(D, a, b):
-            flags, ratio, signs = revival._pair_gates(D, a, b, True)
+            flags, ratio, signs = revival._pair_gates(D, a, b)
             return flags, ratio, list(signs)
 
         def reference(D, a, b):
@@ -501,29 +528,35 @@ class TestGateTable:
         for a, k, c in itertools.product((1, 2, 5), (1, 3, 6), (2, 7)):
             D = stellar_decompose(a, k, c)
             for pair in ((0, 1), (1, 0)):
-                assert D.on_quotient(pair)
                 assert block_gates(D, *pair) == reference(D, *pair)
                 quotient += 1
+            # both read the centers over the quotient's cells
+            assert "vectors" not in vars(D)
         assert below > 20 and past > 20 and quotient == 36
         assert repeated == {True, False}
 
-    def test_exact_gamma_skips_the_ratio(self, monkeypatch):
+    def test_centers_skip_the_gate_kernel(self, monkeypatch):
         calls = []
-        real = revival._first_ratio
 
-        def counting(*args):
-            calls.append(np.broadcast_shapes(*(x.shape for x in args[:3])))
-            return real(*args)
+        def recording(name):
+            real = getattr(revival, name)
 
-        monkeypatch.setattr(revival, "_first_ratio", counting)
-        D = stellar_decompose(3, 2, 6)
-        assert certify_fr(D, 0, 1).gamma == Fraction(-3, 2)
-        assert certify_fr(D, 1, 0).gamma == Fraction(3, 2)
-        # the quotient's pairs do not build the table
-        assert calls == [] and "gates" not in D.memo
-        # another pair does, on the third call, and computes the ratio there
+            def record(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(revival, name, record)
+
+        recording("_gates")
+        recording("_gate_block")
+        for a, k, c in [(3, 2, 6), (1, 4, 1), (12, 6, 28), (58, 46, 127),
+                        (2, 3, 2), (1, 2, 3)]:
+            D = stellar_decompose(a, k, c)
+            for pair in ((0, 1), (1, 0)):
+                certify_fr(D, *pair)
+            assert calls == [] and D.memo == {}, (a, k, c)
+        # another pair builds the table, on the third call
         certify_fr(D, 0, 2)
-        assert calls == [(D.n, D.n, D.m)] and "gates" in D.memo
+        assert calls == ["_gate_block", "_gates"] and "gates" in D.memo
 
     def test_replace_copy_does_not_share_the_table(self):
         D = decompose(build_path(5))

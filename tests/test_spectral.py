@@ -262,12 +262,14 @@ class TestFactoredParity:
 class TestStellarQuotient:
     """Queries on the centers of X(a, k, c) come from the 5-cell quotient.
     The referee is the same decomposition answered from its dense
-    eigenvectors, as stellar_decompose did before it had a quotient."""
+    eigenvectors, as stellar_decompose did before it had a quotient, and
+    with no exact analysis: its certificates come from the float gates."""
 
     @staticmethod
     def dense(D):
         """D answered from dense eigenvectors, built on a copy of D."""
-        return replace(D, factors=replace(D).vectors, quotient=None)
+        return replace(D, factors=replace(D).vectors, quotient=None,
+                       exact=None)
 
     @staticmethod
     def triples():
