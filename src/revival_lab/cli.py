@@ -240,15 +240,12 @@ def cmd_subset(args, out) -> int:
 
 
 def cmd_export(args, out) -> int:
-    X = _graph_arg(args)
-    if args.format == "json":
-        out.write(graphs.graph_to_json(X) + "\n")
+    if args.format == "json" or args.state is None:
+        to_text = {"json": graphs.graph_to_json, "dot": graphs.graph_to_dot}
+        out.write(to_text[args.format](_graph_arg(args)) + "\n")
         return 0
-    if args.state is None:
-        out.write(graphs.graph_to_dot(X) + "\n")
-        return 0
-    S = states.subset_state(parse_vertex_set(args.state), X.n)
-    D = spectral.decompose(X)
+    D = _decomposition(args)
+    S = states.subset_state(parse_vertex_set(args.state), D.n)
     G = states.support_graph(D, S)
     colors = None
     # the classes of a pair come from its certificate, which needs a
@@ -271,9 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "state transfer in continuous quantum walks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False, time=False, formats=("json", "csv", "text")):
-        p.add_argument("--graph", help="graph file (JSON or graph6)")
-        p.add_argument("--stellar", help="fused-star parameters a,k,c")
+    def common(p, pair=False, time=False, formats=("json", "csv", "text"),
+               graph=True):
+        if graph:
+            p.add_argument("--graph", help="graph file (JSON or graph6)")
+        p.add_argument("--stellar", required=not graph,
+                       help="fused-star parameters a,k,c")
         if pair:
             p.add_argument("--pair", nargs=2, type=int, default=[0, 1],
                            metavar=("A", "B"))
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, pair=True, time=True)
 
     p = sub.add_parser("stellar", help="exact analysis of X(a,k,c)")
-    common(p)
+    common(p, graph=False)
 
     p = sub.add_parser("family", help="stream generated FR triples")
     p.add_argument("--p", type=int, required=True)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("product", help="polygamy witness on K2 x X(a,k,c)")
-    common(p)
+    common(p, graph=False)
     p.add_argument("--ell", type=int, required=True,
                    help="tau_min must equal pi/(2*ell+1)")
 

@@ -383,9 +383,8 @@ def verify_fr_at(D: SpectralDecomposition, a: int, b: int,
                  t: float) -> FRObservation:
     """Measure off-block leakage and cross amplitude of U(t) at {a, b}.
 
-    A pair that the quotient answers is measured over its cells, with no
-    lift to the vertices: a and b are cells of their own, and every other
-    cell stands for the vertices that share its entry."""
+    A fused star is measured over its cells, with no lift to the vertices:
+    every cell stands for the vertices that share its entry."""
     return _fr_observation(*_transition_cells(D, [a, b], t), t)
 
 

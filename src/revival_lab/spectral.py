@@ -3,19 +3,20 @@ matrix U(t) = exp(itA).
 
 Arbitrary graphs get a numeric symmetric eigen-solve with gap-based
 eigenvalue grouping. Fused-star graphs get closed-form eigenvalues from
-their exact analysis, and queries on the two centers are answered from the
-five-cell quotient, with no eigen-solve of size n.
+their exact analysis, and every query is answered over their cells of
+twins, with each requested vertex a cell of its own: no eigen-solve or
+array of size n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, build_stellar
+from .graphs import Graph
 from .stellar import StellarAnalysis, analyze
 
 GROUPING_TOL = 1e-9
@@ -24,25 +25,22 @@ GROUPING_TOL = 1e-9
 _SVD_MIN_VERTICES = 48
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """The symmetrized quotient B = Q^T A Q of an equitable partition whose
-    cells are runs of consecutive vertices, ``sizes`` long in vertex order.
+class Quotient(NamedTuple):
+    """X(a, k, c) over its cells of twins a, {0}, k, {1}, c (path order, an
+    emptied cell left out), then {v} for each requested twin v, ascending.
+    A twin split off its cell is still its twins' twin: the partition is
+    equitable, a vertex of cell i having C[i, j] = ``sizes[j]`` neighbours in
+    a joined cell j (B[i, j] != 0). Column r of ``vectors`` is an eigenvector
+    w_r of B = sqrt(C * C^T), grouped by ``bounds``, with row j divided by
+    sqrt(sizes[j]): Q w_r on cell j. ``cell`` maps each vertex that is a cell
+    of its own to it; its rows of every E_r and of U(t) are rows over the
+    cells (Godsil & Royle, Algebraic Graph Theory, ch. 9)."""
 
-    Column r of ``vectors`` is B's unit eigenvector w_r for the r-th
-    eigenvalue of the decomposition (one each), with row j divided by
-    sqrt(sizes[j]): the value of the eigenvector Q w_r of A on every vertex
-    of cell j. ``singletons`` maps each vertex that is a cell of its own to
-    its cell. For such a vertex u, e_u = Q e_cell(u) lies in the A-invariant
-    span of Q, so E_r e_u = (Q w_r)(Q w_r)_u and U(t) e_u = Q exp(itB)
-    e_cell(u) (Godsil & Royle, Algebraic Graph Theory, ch. 9): its rows of
-    every E_r and of U(t) are rows over the cells, and every vertex of a
-    cell has that cell's entry.
-    """
-
-    vectors: np.ndarray = field(repr=False)
-    sizes: tuple[int, ...]
-    singletons: dict[int, int]
+    vectors: np.ndarray
+    bounds: np.ndarray
+    B: np.ndarray
+    sizes: list[int]
+    cell: dict[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,32 +50,26 @@ class SpectralDecomposition:
     Columns ``bounds[r]:bounds[r + 1]`` of ``vectors`` span the eigenspace of
     ``eigenvalues[r]``, so the projector is ``E_r = V_r V_r^T``. Consumers
     read these factors, or rows of them; no dense n x n projector is built.
-
-    ``factors`` holds ``vectors`` and ``source`` holds ``graph`` when they
-    are known at construction. A quotient-backed decomposition (the fused
-    stars, whose ``exact`` is the ``StellarAnalysis`` it was built from)
-    leaves both None. Its row readers answer from ``quotient`` when every
-    requested row is a singleton cell; their columns are then the cells,
-    and no reader repeats them over the n vertices. Anything else that
-    reads ``graph`` or ``vectors`` builds them on first access (the vectors
-    with a dense ``decompose`` of the graph), then keeps them.
+    A fused star (``exact`` is the ``StellarAnalysis`` it was built from)
+    has no ``vectors`` and no ``graph``: its readers' columns are the cells
+    of a ``Quotient``, which no reader repeats over the n vertices.
 
     ``memo`` holds results that consumers derive from the decomposition and
-    keep with it (the certifier's gate table). repr leaves it out, and a
-    ``dataclasses.replace`` copy starts with an empty one.
+    keep with it (the certifier's gate table, a fused star's five-cell
+    quotient). repr leaves it out, and a ``dataclasses.replace`` copy
+    starts with an empty one.
 
     Equality and hash are by identity: the factors are arrays, whose
     comparison has no single truth value.
     """
 
     eigenvalues: tuple[float, ...]
-    factors: np.ndarray | None = field(repr=False)
+    vectors: np.ndarray | None = field(repr=False)
     bounds: tuple[int, ...]
     connected: bool
     warnings: tuple[str, ...] = ()
     exact: StellarAnalysis | None = None
-    quotient: Quotient | None = field(default=None, repr=False)
-    source: Graph | None = field(default=None, repr=False)
+    graph: Graph | None = field(default=None, repr=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -88,40 +80,36 @@ class SpectralDecomposition:
     def m(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
-    def graph(self) -> Graph:
-        """The graph decomposed: ``source``, or for a quotient-backed
-        X(a, k, c) the one ``build_stellar`` makes of its triple."""
-        if self.source is not None:
-            return self.source
-        e = self.exact
-        return build_stellar(e.a, e.k, e.c)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """The (n, n) eigenvectors: ``factors``, or for a quotient-backed
-        X(a, k, c) those of ``decompose(graph)``, which must fall into
-        clusters of multiplicities 1, 1, n - 4, 1, 1."""
-        if self.factors is not None:
-            return self.factors
-        D = decompose(self.graph)
-        if D.bounds != self.bounds:
-            raise ArithmeticError("unexpected eigenvalue multiplicities")
-        return D.vectors
-
     def _row_factors(self, rows: list[int] | slice) -> tuple:
-        """(V[rows], V, bounds, cols) for a query on ``rows``: the
-        quotient's cell vectors, with one column per eigenvalue, when every
-        row is a singleton cell, else the dense factors. A reader's columns
-        are the rows of V, cells or vertices, and ``cols`` picks those of
-        ``rows`` from them as ``rows`` picks the vertices."""
-        q = self.quotient
-        if q is not None and not isinstance(rows, slice) \
-                and all(u in q.singletons for u in rows):
-            cells = [q.singletons[u] for u in rows]
-            return (q.vectors[cells], q.vectors, tuple(range(self.m + 1)),
-                    cells)
-        return self.vectors[rows], self.vectors, self.bounds, rows
+        """(V[rows], V, bounds, cols): the dense factors, or a fused star's
+        cell vectors. A reader's columns are the rows of V, vertices or
+        cells, and ``cols`` are those of ``rows``."""
+        if self.exact is None:
+            return self.vectors[rows], self.vectors, self.bounds, rows
+        if isinstance(rows, slice):
+            rows = range(self.n)[rows]
+        q = self._quotient(rows)
+        cells = [q.cell[u] for u in rows]
+        return q.vectors[cells], q.vectors, q.bounds, cells
+
+    def _quotient(self, rows: Sequence[int]) -> Quotient:
+        """A fused star's quotient with each vertex of ``rows`` a cell of
+        its own: the five cells are kept in ``memo``, a split is rebuilt."""
+        twins = sorted({*rows} - {0, 1})
+        if twins:
+            return _stellar_cells(self.exact, twins)
+        q = self.memo.get("quotient")
+        if q is None:
+            q = self.memo["quotient"] = _stellar_cells(self.exact, twins)
+        return q
+
+    def _cell_counts(self, rows: Sequence[int]) -> np.ndarray:
+        """The integer adjacency over the row factors' columns for ``rows``:
+        the graph's in int64, or a fused star's C in Python ints."""
+        if self.exact is None:
+            return self.graph.adjacency().astype(np.int64)
+        q = self._quotient(rows)
+        return (q.B != 0) * np.array(q.sizes, dtype=object)
 
     def projector_rows(self, rows: list[int] | slice) -> tuple:
         """(P, cols): P[i, j, r] = (E_r)_{rows[i], v} for the vertices v of
@@ -132,12 +120,11 @@ class SpectralDecomposition:
         return np.add.reduceat(products, bounds[:-1], axis=2), cols
 
 
-def _group_eigenvalues(desc: np.ndarray,
+def _group_eigenvalues(gaps: list[float],
                        threshold: float) -> tuple[list[int], list[str]]:
-    """Cluster bounds over descending eigenvalues split at gaps >= threshold."""
-    gaps = (desc[:-1] - desc[1:]).tolist()
+    """Cluster bounds of descending eigenvalues split at gaps >= threshold."""
     bounds = [0, *(i for i, gap in enumerate(gaps, 1) if gap >= threshold),
-              len(desc)]
+              len(gaps) + 1]
     warnings = [f"eigenvalue gap {gap:.3e} within a factor 10 of the "
                 f"grouping threshold {threshold:.3e}" for gap in gaps
                 if threshold / 10 <= gap <= threshold * 10]
@@ -210,7 +197,8 @@ def decompose(X: Graph) -> SpectralDecomposition:
         vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
     radius = float(max(vals[0], -vals[-1]))  # vals descend
     threshold = GROUPING_TOL * max(1.0, radius)
-    bounds, warnings = _group_eigenvalues(vals, threshold)
+    bounds, warnings = _group_eigenvalues((vals[:-1] - vals[1:]).tolist(),
+                                          threshold)
     # the mean of each cluster; a spectrum of simple eigenvalues is its own
     eigenvalues = vals if len(bounds) > len(vals) else \
         np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
@@ -219,14 +207,14 @@ def decompose(X: Graph) -> SpectralDecomposition:
         eigenvalues = (eigenvalues - eigenvalues[::-1]) / 2
     return SpectralDecomposition(tuple(eigenvalues.tolist()), vecs,
                                  tuple(bounds), connected, tuple(warnings),
-                                 source=X)
+                                 graph=X)
 
 
 def _transition_cells(D: SpectralDecomposition, rows: list[int] | slice,
                       t: float) -> tuple:
     """Rows of U(t) = exp(itA) over the columns of the row factors (the
-    vertices, or the quotient's cells when it answers ``rows``), with the
-    column of each requested row: (V[rows] diag(exp(i t theta))) V^T, whose
+    vertices, or a fused star's cells), with the column of each requested
+    row: (V[rows] diag(exp(i t theta))) V^T, whose
     real and imaginary parts come from one real product of the stacked
     rows [R cos(t theta); R sin(t theta)] with V^T."""
     if not math.isfinite(t):
@@ -238,22 +226,12 @@ def _transition_cells(D: SpectralDecomposition, rows: list[int] | slice,
     return parts[:k] + 1j * parts[k:], cols
 
 
-def _stellar_quotient(a: int, k: int, c: int) -> np.ndarray:
-    """B = Q^T A Q over the equitable partition of ``build_stellar(a, k, c)``
-    into the cells a, {0}, k, {1}, c, in that order: the path through the
-    cells with weights sqrt(a), sqrt(k), sqrt(k), sqrt(c)."""
-    w = np.sqrt(np.array([a, k, k, c], dtype=float))
-    return np.diag(w, 1) + np.diag(w, -1)
-
-
 def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
     """Spectral decomposition of X(a, k, c) backed by its exact analysis.
 
     The eigenvalues are the closed forms +-theta5, +-theta3 and 0, of
     multiplicities 1, 1, n - 4, 1, 1, and ``exact`` is ``analyze(a, k, c)``.
-    Queries on the centers are answered from the eigenvectors of the 5x5
-    quotient; the dense eigenvectors are built only when something reads
-    ``vectors``.
+    Every query is answered from a ``Quotient``, built on demand.
     """
     return _stellar_decomposition(analyze(a, k, c))
 
@@ -269,23 +247,45 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
     theta5, theta3 = math.sqrt(big / 2), math.sqrt(2 * e2 / big)
     eigenvalues = (theta5, theta3, 0.0, -theta3, -theta5)
     threshold = GROUPING_TOL * max(1.0, theta5)
-    groups, warnings = _group_eigenvalues(np.array(eigenvalues), threshold)
+    # the gaps of the five, as float subtraction gives them
+    gap = theta5 - theta3
+    groups, warnings = _group_eigenvalues([gap, theta3, theta3, gap],
+                                          threshold)
     if len(groups) != 6:
         # the exact eigenvalues are distinct, but a gap (theta3, or
         # theta5 - theta3) is too small next to theta5 for float grouping
-        gap = min(theta3, theta5 - theta3)
+        gap = min(theta3, gap)
         raise ValueError(
             f"X({a}, {k}, {c}) is beyond float resolution: eigenvalue gap "
             f"{gap:.3e} below the grouping threshold {threshold:.3e}")
-    # eigh ascends; the cells go from the path's order a, {0}, k, {1}, c to
-    # build_stellar's vertex order {0}, {1}, a, k, c
-    sizes = (1, 1, a, k, c)
-    W = np.linalg.eigh(_stellar_quotient(a, k, c))[1]
-    W = W[[1, 3, 0, 2, 4], ::-1] / np.sqrt(np.array(sizes, dtype=float))[:, None]
     n = a + k + c + 2
     return SpectralDecomposition(
         eigenvalues, None, (0, 1, 2, n - 2, n - 1, n), True, tuple(warnings),
-        an, Quotient(W, sizes, {0: 0, 1: 1}))
+        an)
+
+
+def _stellar_cells(an: StellarAnalysis, twins: list[int]) -> Quotient:
+    """The ``Quotient`` of the triple ``an`` analyzed with the ascending
+    non-centers ``twins`` split off. Only the centers have neighbours: {0}
+    in the cells of kinds a and k, {1} in those of kinds k and c."""
+    a, k, c = an.a, an.k, an.c
+    if twins and (twins[0] < 0 or twins[-1] >= a + k + c + 2):
+        raise IndexError(f"vertex out of range for {a + k + c + 2} vertices")
+    kinds = [0 if v < 2 + a else 2 if v < 2 + a + k else 4 for v in twins]
+    left = [a - kinds.count(0), 1, k - kinds.count(2), 1, c - kinds.count(4)]
+    base = [j for j in range(5) if left[j]]
+    sizes = [size for size in left if size] + [1] * len(twins)
+    root = [math.sqrt(size) for size in sizes]
+    m, c0, c1 = len(sizes), base.index(1), base.index(3)
+    B = np.zeros((m, m))
+    B[c0] = B[:, c0] = [r * (j in (0, 2)) for j, r in zip(base + kinds, root)]
+    B[c1] = B[:, c1] = [r * (j in (2, 4)) for j, r in zip(base + kinds, root)]
+    # eigh ascends; B's spectrum is theta5, theta3, 0 ..., -theta3, -theta5
+    W = np.linalg.eigh(B)[1][:, ::-1] / np.array(root)[:, None]
+    cell = {0: c0, 1: c1}
+    cell.update(zip(twins, range(len(base), m)))
+    # bounds as an array: readers take its differences at C speed
+    return Quotient(W, np.array((0, 1, 2, m - 2, m - 1, m)), B, sizes, cell)
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:

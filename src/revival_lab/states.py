@@ -28,9 +28,9 @@ def subset_state(S: Iterable[int], n: int) -> frozenset[int]:
 
 def _support_mask(D: SpectralDecomposition, S: Iterable[int]) -> np.ndarray:
     """(m, m) booleans: [r, s] when E_r D_S E_s is nonzero, that is when
-    an entry exceeds SUPPORT_TOL times max |D_S| = 1."""
-    V, bounds = D.vectors, D.bounds
-    rows = V[sorted(subset_state(S, D.n))]
+    an entry exceeds SUPPORT_TOL times max |D_S| = 1, read over the
+    columns of the row factors: maxima over cells are those over vertices."""
+    rows, V, bounds, _ = D._row_factors(sorted(subset_state(S, D.n)))
     G = rows.T @ rows  # V^T D_S V
     cols = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # max |entry| of E_r D_S E_s = V_r G_rs V_s^T; for one-dimensional

@@ -92,13 +92,17 @@ def _theta_square_strings(mu: int, sigma: int) -> tuple[str, str]:
     as the radicand, unreduced, with m = 1: exact all the same."""
     s = math.isqrt(sigma)
     if s * s == sigma:
-        return str(Fraction(mu - s, 2)), str(Fraction(mu + s, 2))
+        return _half(mu - s), _half(mu + s)
     try:
         delta, m = square_free_part(sigma, steps=_SURD_STEPS)
     except ArithmeticError:
         delta, m = sigma, 1
-    p, q = Fraction(mu, 2), "" if m == 2 else f"{Fraction(m, 2)}*"
+    p, q = _half(mu), "" if m == 2 else f"{_half(m)}*"
     return f"{p} - {q}sqrt({delta})", f"{p} + {q}sqrt({delta})"
+
+
+def _half(x: int) -> str:  # str(Fraction(x, 2)), with no Fraction
+    return f"{x}/2" if x % 2 else str(x // 2)
 
 
 def analyze(a: int, k: int, c: int) -> StellarAnalysis:

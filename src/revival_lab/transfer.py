@@ -94,7 +94,8 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
         block = rows[np.ix_([at[v] for v in groups[i]], columns[j])]
         pattern.append(bool(np.abs(block).max() < tol))
 
-    cosp, comp_cosp = induced_cospectrality(D.graph, S, T)
+    cosp, comp_cosp = _cospectrality(D._cell_counts(union),
+                                     {col[v] for v in S}, {col[v] for v in T})
     return SubsetTransferReport(frozenset(S), frozenset(T), float(t),
                                 residual, tuple(pattern), cosp, comp_cosp, tol)
 
@@ -102,23 +103,29 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
 def induced_cospectrality(X: Graph, S: set[int],
                           T: set[int]) -> tuple[bool, bool]:
     """Exact cospectrality of the induced subgraphs on S vs T and on the
-    complements, by integer characteristic polynomials.
+    complements, by integer characteristic polynomials."""
+    return _cospectrality(X.adjacency().astype(np.int64), S, T)
+
+
+def _cospectrality(A: np.ndarray, S: set[int],
+                   T: set[int]) -> tuple[bool, bool]:
+    """``induced_cospectrality`` of the columns S and T of the integer
+    adjacency A: a graph's, or a fused star's cell counts C with S and T
+    cells of one vertex. Its cells U of independent twins induce phi = x^z
+    det(xI - C[U, U]), z = sum(|cell| - 1), the same z on both sides.
 
     Sets of different sizes have polynomials of different degrees, and so
-    have their complements. Each distinct vertex set is computed once (when
-    T is the complement of S, the four polynomials are two), its adjacency
-    is a slice of the graph's, and the sets of one size go through the
-    exact kernel as one stack.
+    have their complements. Each distinct set is computed once, a slice of
+    A, and the sets of one size go through the exact kernel as one stack.
     """
     S, T = frozenset(S), frozenset(T)
     if len(S) != len(T):
         return False, False
-    all_v = frozenset(range(X.n))
+    all_v = frozenset(range(len(A)))
     if not (S | T) <= all_v:
         raise ValueError("vertex out of range")
     sets = {S, T, all_v - S, all_v - T} - {frozenset()}
     polys: dict[frozenset[int], list[int]] = {frozenset(): [1]}
-    A = X.adjacency().astype(np.int64)
     for size in {len(v) for v in sets}:
         group = [v for v in sets if len(v) == size]
         rows = np.array([sorted(v) for v in group])

@@ -1,8 +1,8 @@
 import pytest
 
 from referees import build_path, projectors
-from revival_lab.graphs import Graph
-from revival_lab.spectral import decompose, stellar_decompose
+from revival_lab.graphs import Graph, build_stellar
+from revival_lab.spectral import decompose
 
 
 def _prism(m: int) -> Graph:
@@ -24,9 +24,11 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 def parity_cases():
     """(name, decomposition, reference projectors, vertex pairs) for every
     connected graph on at most 6 vertices, the paths P2..P40, the prisms
-    C_m x K2 for m = 3..12 (which have repeated eigenvalues) and the
-    quotient-backed X(a, k, c) of small triples. The reference projectors
-    E_r = V_r V_r^T are the referee's, built from the decomposition's factors.
+    C_m x K2 for m = 3..12 (which have repeated eigenvalues) and X(a, k, c)
+    of small triples, all decomposed densely (a fused star's cells are
+    checked against these in test_spectral.TestStellarQuotient). The
+    reference projectors E_r = V_r V_r^T are the referee's, built from the
+    decomposition's factors.
     """
     import networkx as nx
     named = []
@@ -37,7 +39,7 @@ def parity_cases():
                           decompose(Graph.from_edges(n, list(g.edges())))))
     named += [(f"P{n}", decompose(build_path(n))) for n in range(2, 41)]
     named += [(f"prism {m}", decompose(_prism(m))) for m in range(3, 13)]
-    named += [(f"X{t}", stellar_decompose(*t))
+    named += [(f"X{t}", decompose(build_stellar(*t)))
               for t in [(1, 1, 1), (3, 2, 6), (1, 4, 1), (2, 6, 11), (4, 3, 5)]]
     return [(name, D, projectors(D), _pairs(D.n)) for name, D in named]
 

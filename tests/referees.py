@@ -89,20 +89,26 @@ def adjacency(D: SpectralDecomposition) -> np.ndarray:
     return (D.vectors * thetas) @ D.vectors.T
 
 
-def lift(x: np.ndarray, D: SpectralDecomposition,
+def lift(x: np.ndarray, D: SpectralDecomposition, rows: list[int] | slice,
          axis: int = -1) -> np.ndarray:
-    """Values over the columns of D's row factors, on ``axis``, over the n
-    vertices: a quotient's cells (when x has fewer columns than D has
-    vertices) each repeated over their vertices."""
-    return (x if x.shape[axis] == D.n
-            else np.repeat(x, D.quotient.sizes, axis))
+    """Values over the columns of D's row factors for ``rows``, on
+    ``axis``, over the n vertices: a fused star's cells (those of
+    ``split_partition``) each repeated over their vertices."""
+    if D.exact is None:
+        return x
+    e = D.exact
+    at = np.empty(D.n, dtype=int)
+    rows = range(D.n)[rows] if isinstance(rows, slice) else rows
+    for j, cell in enumerate(split_partition(e.a, e.k, e.c, rows)):
+        at[sorted(cell)] = j
+    return np.take(x, at, axis)
 
 
 def transition_rows(D: SpectralDecomposition, rows: list[int] | slice,
                     t: float) -> np.ndarray:
     """Rows of U(t) = exp(itA) over the n vertices: the package's rows over
     the columns of its row factors, lifted."""
-    return lift(_transition_cells(D, rows, t)[0], D)
+    return lift(_transition_cells(D, rows, t)[0], D, rows)
 
 
 def transition_matrix(D: SpectralDecomposition, t: float) -> np.ndarray:
@@ -221,6 +227,15 @@ def stellar_partition(a: int, k: int, c: int) -> list[set[int]]:
     the symmetrized quotient is a weighted path."""
     a_cell, k_cell, c_cell = stellar_cells(a, k, c)
     return [set(a_cell), {0}, set(k_cell), {1}, set(c_cell)]
+
+
+def split_partition(a: int, k: int, c: int, rows) -> list[set[int]]:
+    """The cells of the fused star's quotient for ``rows``, in its column
+    order: those of ``stellar_partition`` less the twins in ``rows`` (an
+    emptied cell left out), then {v} for each such twin v, ascending."""
+    twins = sorted(set(rows) - {0, 1})
+    cells = [cell - set(twins) for cell in stellar_partition(a, k, c)]
+    return [cell for cell in cells if cell] + [{v} for v in twins]
 
 
 def is_equitable(X: Graph,

@@ -467,26 +467,65 @@ def test_import_builds_no_parser():
     assert done.stdout.strip() == "0"
 
 
-@pytest.mark.parametrize("argv", [
-    ["export", "--stellar", "1,100000,2", "--format", "dot", "--state", "0,1"],
-    ["subset", "--stellar", "1,100000,2", "--s", "0", "--t", "1",
-     "--time", "1"]])
-def test_memory_error_exit_two(argv):
-    """An n x n array for n = 100,005 takes 75 GiB or more: under a 3 GB
-    address-space cap the command says so and exits 2, with no traceback.
-    The cap is set in a child process, where the allocation fails at once;
-    without one it could succeed lazily and exhaust the machine."""
+def _capped_cli(argv, cap):
+    """A child process running the CLI on argv under an address-space cap
+    of ``cap`` bytes, set in the child, where an allocation past it fails
+    at once; without one it could succeed lazily and exhaust the machine."""
     import resource
 
     def capped():
-        cap = 3 * 10**9
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(revival_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-m", "revival_lab.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "revival_lab.cli", *argv],
                           env=env, preexec_fn=capped, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_memory_error_exit_two(tmp_path):
+    """The dense decomposition of a graph file on n = 100,005 vertices
+    needs an n x n array of 75 GiB: under a 3 GB address-space cap the
+    command says so and exits 2, with no traceback."""
+    from referees import build_path
+    path = tmp_path / "p100005.json"
+    path.write_text(graph_to_json(build_path(100005)))
+    done = _capped_cli(["analyze", "--graph", str(path), "--pair", "0", "1"],
+                       3 * 10**9)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: Unable to allocate")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("triple", ["1,100000,2", "1,1000000000000000,2"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--pair", "0", "2", "--time", "1"],
+    ["analyze", "--pair", "7", "9", "--time", "1"],
+    ["subset", "--s", "0", "--t", "1", "--time", "1"],
+    ["subset", "--s", "0,2", "--t", "1,5", "--time", "1"],
+    ["export", "--format", "dot", "--state", "0,1"]],
+    ids=["analyze-0-2", "analyze-7-9", "subset-0-1", "subset-02-15",
+         "export-state"])
+def test_fused_star_commands_within_one_gib(argv, triple):
+    """Every command that takes vertices answers a fused star of 10^5 or
+    10^15 vertices over its cells, under a 1 GiB address-space cap: exit 0
+    or 1, no traceback. A dense fallback would need 74.5 GiB or more."""
+    done = _capped_cli([argv[0], "--stellar", triple, *argv[1:]], 2**30)
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == ""
+    if argv[0] == "subset":
+        assert json.loads(done.stdout)["complement_cospectral"] is False
+    if argv[0] == "export":
+        assert 'label="0"' in done.stdout
+
+
+@pytest.mark.parametrize("argv", [["stellar"], ["stellar", "--graph", "g.json"],
+                                  ["product", "--ell", "2"]])
+def test_triple_commands_need_a_triple(argv, capsys):
+    """stellar and product read only --stellar: without it (with or
+    without --graph, which they do not take) argparse stops with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("usage:")

@@ -62,9 +62,10 @@ class TestCospectralIsGammaZero:
     < 1e-9. Both orders of every pair are checked."""
 
     @staticmethod
-    def outcomes(D, pairs=None):
-        """The set of cospectral values seen, each equal to the referee's."""
-        diag = np.array([np.diagonal(E) for E in projectors(D)])
+    def outcomes(D, pairs=None, dense=None):
+        """The set of cospectral values seen, each equal to the referee's,
+        read from the projectors of D or of its ``dense`` referee."""
+        diag = np.array([np.diagonal(E) for E in projectors(dense or D)])
         seen = set()
         for a, b in pairs or itertools.permutations(range(D.n), 2):
             expected = bool(np.abs(diag[:, a] - diag[:, b]).max() < 1e-9)
@@ -98,10 +99,14 @@ class TestCospectralIsGammaZero:
         assert not certify_fr(D, 1, 2).parallel
 
     def test_fused_star_centers(self):
-        """X(3, 2, 6): the exact gamma of the quotient and the float ratio
-        of a dense decomposition, both -3/2, so not cospectral."""
-        for D in (stellar_decompose(3, 2, 6), decompose(build_stellar(3, 2, 6))):
-            assert self.outcomes(D, [(0, 1), (1, 0)]) == {False}
+        """X(3, 2, 6): the exact gamma of the centers and the float ratio
+        of a dense decomposition, both -3/2, so not cospectral; every other
+        pair, read over the cells, against the dense projectors."""
+        dense = decompose(build_stellar(3, 2, 6))
+        assert self.outcomes(dense, [(0, 1), (1, 0)]) == {False}
+        D = stellar_decompose(3, 2, 6)
+        assert self.outcomes(D, [(0, 1), (1, 0)], dense) == {False}
+        assert self.outcomes(D, None, dense) == {False, True}
 
 
 class TestFractionalCospectrality:
@@ -264,7 +269,7 @@ def test_singleton_pair_entries_match_projector_rows(parity_cases):
     its five arrays equal those read from projector_rows, bit for bit."""
     checked = 0
     for name, D, _, pairs in parity_cases:
-        if D.m != D.n or D.factors is None:
+        if D.m != D.n or D.vectors is None:
             continue
         for a, b in pairs:
             P, cols = D.projector_rows([a, b])
@@ -486,7 +491,7 @@ class TestGateTable:
             return flags, ratio, list(signs)
 
         def reference(D, a, b):
-            rows = lift(D.projector_rows([a, b])[0], D, 1)
+            rows = lift(D.projector_rows([a, b])[0], D, [a, b], 1)
             reach = abs(rows).max(axis=1)
             flags, ratio, signs = _reference_gates(
                 rows[0, a], rows[1, b], rows[0, b], reach[0], reach[1])
@@ -527,12 +532,13 @@ class TestGateTable:
         quotient = 0
         for a, k, c in itertools.product((1, 2, 5), (1, 3, 6), (2, 7)):
             D = stellar_decompose(a, k, c)
-            for pair in ((0, 1), (1, 0)):
+            n = D.n
+            for pair in ((0, 1), (1, 0), (0, 2), (2, n - 1), (n - 1, 1)):
                 assert block_gates(D, *pair) == reference(D, *pair)
                 quotient += 1
-            # both read the centers over the quotient's cells
-            assert "vectors" not in vars(D)
-        assert below > 20 and past > 20 and quotient == 36
+            # a split quotient is rebuilt each time; the five cells are kept
+            assert list(D.memo) == ["quotient"]
+        assert below > 20 and past > 20 and quotient == 90
         assert repeated == {True, False}
 
     def test_centers_skip_the_gate_kernel(self, monkeypatch):
@@ -566,6 +572,47 @@ class TestGateTable:
         assert "gates" in D.memo and copy.memo == {}
         assert "memo" not in repr(D)
         assert stellar_decompose(3, 2, 6).memo == {}
+
+
+class TestFusedStarPairs:
+    """Any pair of X(a, k, c) is certified over the cells with its twins
+    split off, and reads as the dense decomposition of the graph (with D's
+    closed-form eigenvalues) reads it: verdict, gamma, Delta, g and both
+    classes."""
+
+    @staticmethod
+    def agree(D, pairs, label):
+        ref = replace(decompose(build_stellar(*label)),
+                      eigenvalues=D.eigenvalues)
+        for a, b in pairs:
+            got, want = certify_fr(D, a, b), certify_fr(ref, a, b)
+            assert (got.verdict, got.gamma, got.delta, got.g, got.c_plus,
+                    got.c_minus) == (want.verdict, want.gamma, want.delta,
+                                     want.g, want.c_plus, want.c_minus), \
+                (label, a, b)
+
+    def test_table_path(self):
+        """Every ordered pair of every a, k, c <= 8, from the gate table
+        of the quotient that splits every vertex."""
+        for a, k, c in itertools.product(range(1, 9), repeat=3):
+            D = stellar_decompose(a, k, c)
+            self.agree(D, itertools.permutations(range(D.n), 2), (a, k, c))
+            assert "gates" in D.memo
+
+    def test_lone_pair_path(self, monkeypatch):
+        """With the guard at 0 each pair is a block of at most seven cells:
+        every ordered pair for a, k, c <= 3, and for a, k, c in {1, 2, 5,
+        8} the pairs among the centers and the first and last twin of each
+        cell."""
+        monkeypatch.setattr(revival, "_TABLE_MAX_ENTRIES", 0)
+        for a, k, c in itertools.product(range(1, 4), repeat=3):
+            D = stellar_decompose(a, k, c)
+            self.agree(D, itertools.permutations(range(D.n), 2), (a, k, c))
+        for a, k, c in itertools.product((1, 2, 5, 8), repeat=3):
+            D = stellar_decompose(a, k, c)
+            ends = {0, 1, 2, 1 + a, 2 + a, 1 + a + k, 2 + a + k, D.n - 1}
+            self.agree(D, itertools.permutations(sorted(ends), 2), (a, k, c))
+            assert "gates" not in D.memo
 
 
 class TestCertificateInit:
@@ -613,7 +660,7 @@ class TestVerifyFRAt:
         one read from the rows lifted to all n vertices, bit for bit."""
         for a, k, c in [(3, 2, 6), (20, 30, 40)]:
             D = stellar_decompose(a, k, c)
-            for pair in ((0, 1), (1, 0)):
+            for pair in ((0, 1), (1, 0), (0, 2), (4, D.n - 1)):
                 for t in (0.0, 0.4, 1.0, math.pi / 2, math.pi, 5.1):
                     got = verify_fr_at(D, *pair, t)
                     ref = _fr_observation(transition_rows(D, list(pair), t),
@@ -621,7 +668,6 @@ class TestVerifyFRAt:
                     assert (got.t, got.off_block_norm, got.cross_amplitude) \
                         == (ref.t, ref.off_block_norm, ref.cross_amplitude)
                     assert got.block.tobytes() == ref.block.tobytes()
-            assert "vectors" not in vars(D)
 
     def test_no_lift_on_a_huge_fused_star(self):
         # n is about 10^15: lifted rows would take petabytes

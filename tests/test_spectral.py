@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from referees import (adjacency, build_path, build_star, lift, poly_sub,
-                      projectors, stellar_center_blocks, stellar_partition,
-                      surd_values, symmetrized_quotient, theta_squares,
-                      transition_matrix, transition_rows, unitarity_error)
+from referees import (adjacency, build_path, build_star, is_equitable, lift,
+                      poly_sub, projectors, split_partition,
+                      stellar_center_blocks, surd_values,
+                      symmetrized_quotient, theta_squares, transition_matrix,
+                      transition_rows, unitarity_error)
 from revival_lab.exact import charpoly_int
 from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
@@ -54,10 +55,9 @@ class TestDecompose:
         X = build_stellar(3, 2, 6)
         D = decompose(X)
         assert D.graph is X and "edges" not in repr(D)
-        # a fused star builds its graph from its triple, on first access
+        # a fused star is read over its cells: it has no graph or vectors
         D = stellar_decompose(3, 2, 6)
-        assert "graph" not in vars(D)
-        assert D.graph == X and D.graph is D.graph
+        assert D.graph is None and D.vectors is None
 
     def test_equality_and_hash_by_identity(self):
         D, D2 = decompose(build_path(3)), decompose(build_path(3))
@@ -134,6 +134,9 @@ class TestStellarDecompose:
         assert p * p - q * q * d == a * k + c * k + a * c
 
     def test_built_on_analyze_and_lazy_decompose(self, monkeypatch):
+        """The decomposition is built on its analysis; its five-cell
+        quotient when a query first reads the centers' rows, and no dense
+        decomposition ever."""
         from revival_lab import spectral
         seen = {}
 
@@ -151,28 +154,20 @@ class TestStellarDecompose:
         an = seen["analyze"]
         assert D.exact is an
         certify_fr(D, 0, 1)
+        assert D.memo == {}
         verify_fr_at(D, 0, 1, 1.0)
-        assert "decompose" not in seen and "vectors" not in vars(D)
-        # the dense eigenvectors come from decompose on first access
-        V = D.vectors
-        numeric = seen["decompose"]
-        assert V is numeric.vectors and D.bounds == numeric.bounds
-        assert D.eigenvalues == pytest.approx(numeric.eigenvalues)
-        assert D.vectors is V
-
-    def test_lazy_dense_build_checks_multiplicities(self, monkeypatch):
-        from revival_lab import spectral
-        D = stellar_decompose(3, 2, 6)
-        # a graph on the same n vertices whose eigenvalues are all simple
-        monkeypatch.setattr(spectral, "build_stellar",
-                            lambda a, k, c: build_path(a + k + c + 2))
-        assert certify_fr(D, 0, 1).verdict == "proper-FR"
-        with pytest.raises(ArithmeticError, match="multiplicities"):
-            adjacency(D)
+        q = D.memo["quotient"]
+        certify_fr(D, 0, 5)
+        verify_fr_at(D, 2, 30, 1.0)
+        assert D.memo["quotient"] is q and q.cell == {0: 1, 1: 3}
+        assert "decompose" not in seen and D.vectors is None
 
     def test_reconstruction(self):
+        """sum_r theta_r E_r over the quotient that splits every vertex."""
         D = stellar_decompose(3, 2, 6)
-        assert np.abs(adjacency(D) - build_stellar(3, 2, 6).adjacency()).max() < 1e-8
+        P = lift(D.projector_rows(slice(None))[0], D, slice(None), 1)
+        A = P @ np.array(D.eigenvalues)
+        assert np.abs(A - build_stellar(3, 2, 6).adjacency()).max() < 1e-8
 
 
 class TestCharPolySuite:
@@ -218,7 +213,7 @@ class TestCharPolySuite:
 def test_grouping_warning_near_threshold():
     # two eigenvalues separated by just above the threshold trigger a warning
     from revival_lab.spectral import GROUPING_TOL, _group_eigenvalues
-    bounds, warnings = _group_eigenvalues(np.array([1e-8, 0.0]), GROUPING_TOL)
+    bounds, warnings = _group_eigenvalues([1e-8], GROUPING_TOL)
     assert bounds == [0, 1, 2] and warnings
 
 
@@ -260,16 +255,18 @@ class TestFactoredParity:
 
 
 class TestStellarQuotient:
-    """Queries on the centers of X(a, k, c) come from the 5-cell quotient.
-    The referee is the same decomposition answered from its dense
-    eigenvectors, as stellar_decompose did before it had a quotient, and
-    with no exact analysis: its certificates come from the float gates."""
+    """Queries on X(a, k, c) come from its cells, with the requested
+    vertices split off. The referee is the dense decomposition of the
+    graph with D's closed-form eigenvalues, as stellar_decompose answered
+    before it had a quotient, and with no exact analysis: its certificates
+    come from the float gates."""
 
     @staticmethod
     def dense(D):
-        """D answered from dense eigenvectors, built on a copy of D."""
-        return replace(D, factors=replace(D).vectors, quotient=None,
-                       exact=None)
+        """decompose(build_stellar(a, k, c)) with D's eigenvalues."""
+        e = D.exact
+        return replace(decompose(build_stellar(e.a, e.k, e.c)),
+                       eigenvalues=D.eigenvalues)
 
     @staticmethod
     def triples():
@@ -283,8 +280,9 @@ class TestStellarQuotient:
             D = stellar_decompose(a, k, c)
             ref = self.dense(D)
             label = (a, k, c)
-            for rows in ([0, 1], [1, 0], [1]):
-                P = lift(D.projector_rows(rows)[0], D, 1)
+            n = D.n
+            for rows in ([0, 1], [1, 0], [1], [0, 2], [n - 1, 1, 2 + a]):
+                P = lift(D.projector_rows(rows)[0], D, rows, 1)
                 assert np.abs(P - ref.projector_rows(rows)[0]).max() < 1e-12, label
             tau = analyze(a, k, c).tau_min
             for t in (0.4, 2.3, tau or 5.1):
@@ -298,14 +296,33 @@ class TestStellarQuotient:
                 # a fresh copy each time: one call builds no gate table
                 cert = json.dumps(certify_fr(D, *pair).to_json_dict())
                 assert cert == json.dumps(certify_fr(replace(ref), *pair).to_json_dict()), label
-            assert "vectors" not in vars(D), label
 
     def test_quotient_matrix_is_the_symmetrized_quotient(self):
-        from revival_lab.spectral import _stellar_quotient
-        for a, k, c in [(1, 1, 1), (3, 2, 6), (16, 36, 37), (7, 1, 40)]:
-            B = symmetrized_quotient(build_stellar(a, k, c),
-                                     stellar_partition(a, k, c))
-            assert np.array_equal(_stellar_quotient(a, k, c), B)
+        """The counts of every split are those of the refined partition,
+        which is equitable, and the vectors diagonalize its symmetrized
+        quotient B with the eigenvalues grouped by the bounds."""
+        for a, k, c in [(1, 1, 1), (3, 2, 6), (16, 36, 37), (7, 1, 40),
+                        (1, 2, 1)]:
+            X, n = build_stellar(a, k, c), a + k + c + 2
+            for rows in ([0, 1], [1], [0, 2], [2, n - 1], [n - 1, 3, 2],
+                         list(range(n))):
+                cells = split_partition(a, k, c, rows)
+                D = stellar_decompose(a, k, c)
+                q, C = D._quotient(rows), D._cell_counts(rows)
+                equitable, counts = is_equitable(X, cells)
+                assert equitable and np.array_equal(C, counts)
+                B = symmetrized_quotient(X, cells)
+                assert np.array_equal(q.B, B)
+                assert np.array_equal(np.sqrt((C * C.T).astype(float)), B)
+                sizes = np.array([len(cell) for cell in cells])
+                W = q.vectors * np.sqrt(sizes)[:, None]
+                assert np.abs(W.T @ W - np.eye(len(cells))).max() < 1e-12
+                thetas = np.repeat(stellar_decompose(a, k, c).eigenvalues,
+                                   np.diff(q.bounds))
+                assert np.abs(B @ W - W * thetas).max() < 1e-9 * thetas[0]
+                assert q.cell == {v: next(j for j, cell in enumerate(cells)
+                                          if cell == {v})
+                                  for v in {0, 1, *rows}}
 
     def test_center_queries_never_solve_dense(self, monkeypatch):
         from revival_lab.cli import main
@@ -332,8 +349,19 @@ class TestStellarQuotient:
         assert main(["analyze", "--stellar", "400,800,1200", "--pair", "0", "1"],
                     out) == 1
         assert json.loads(out.getvalue())["certificate"]["pair"] == [0, 1]
-        with pytest.raises(AssertionError, match="(eigh|svd) of size"):
-            adjacency(D)
+        # other pairs split their twins off the cells: at most seven
+        assert certify_fr(D, 0, 2).verdict == "none"
+        verify_fr_at(D, 2, D.n - 1, 1.7)
+
+    def test_vertex_out_of_range(self):
+        """A vertex past the n vertices, or a negative one, names no cell:
+        an IndexError, as a dense decomposition's rows raise past n."""
+        D = stellar_decompose(3, 2, 6)
+        for pair in ((0, 13), (2, 20), (-1, 1)):
+            with pytest.raises(IndexError, match="out of range"):
+                verify_fr_at(D, *pair, 1.0)
+        with pytest.raises(IndexError):
+            verify_fr_at(decompose(build_stellar(3, 2, 6)), 0, 13, 1.0)
 
 
 class TestBipartiteSolver:

@@ -11,7 +11,8 @@ from referees import (average_state_equality, build_path, cartesian_product,
 from revival_lab.exact import charpoly_int
 from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import _fr_observation, certify_fr, verify_fr_at
-from revival_lab.spectral import decompose, stellar_decompose
+from revival_lab.spectral import (char_poly_suite, decompose,
+                                  stellar_decompose)
 from revival_lab.states import subset_state
 from revival_lab.stellar import generate_polygamy_triple
 from revival_lab.transfer import (ZERO_BLOCKS, detect_subset_transfer,
@@ -69,10 +70,10 @@ class TestDetectSubsetTransfer:
         with pytest.raises(ValueError):
             detect_subset_transfer(ladder, set(), {1}, 1.0)
 
-    def test_fused_star_reads_its_graph(self, monkeypatch):
-        """The rows of U(t) on the centers come from the 5-cell quotient, and
-        the induced subgraphs from the graph the decomposition keeps: no
-        eigen-solve of size n = 13."""
+    def test_fused_star_reads_its_cells(self, monkeypatch):
+        """The rows of U(t) on the centers and the induced subgraphs' cell
+        counts come from the 5-cell quotient: no eigen-solve of size
+        n = 13."""
         D = stellar_decompose(3, 2, 6)
         real = np.linalg.eigh
 
@@ -94,18 +95,58 @@ class TestDetectSubsetTransfer:
     def test_fused_star_cells_match_the_lifted_rows(self):
         """Read over the quotient's cells, the residual and the zero blocks
         of every X(a, k, c) with a, k, c <= 6 equal those read from the
-        rows lifted to all n vertices, bit for bit, for S, T within the
-        centers at three times."""
-        sides = [{0}, {1}, {0, 1}]
+        rows lifted to all n vertices at three times: bit for bit for S, T
+        within the centers, and the residual within 1e-14 (the product
+        W^T W has fewer columns over the cells, and BLAS may round its sums
+        otherwise) with twins split off their cells, for a, k, c <= 3."""
         for a, k, c in itertools.product(range(1, 7), repeat=3):
             D = stellar_decompose(a, k, c)
+            sides = [{0}, {1}, {0, 1}]
+            if max(a, k, c) <= 3:
+                sides += [{2}, {1, D.n - 1}, {2 + a, 2}]
             for S, T in itertools.product(sides, repeat=2):
                 for t in (0.4, math.pi / 2, math.pi):
                     report = detect_subset_transfer(D, S, T, t)
                     residual, pattern = lifted_subset_transfer(D, S, T, t)
-                    assert report.residual.hex() == residual.hex(), (a, k, c)
+                    if S | T <= {0, 1}:
+                        assert report.residual.hex() == residual.hex(), \
+                            (a, k, c)
+                    assert abs(report.residual - residual) < 1e-14, (a, k, c)
                     assert report.block_zero_pattern == pattern, (a, k, c)
-            assert "vectors" not in vars(D)
+
+    def test_fused_star_cospectrality_from_cell_counts(self):
+        """The exact flags read from the cell counts equal those of the
+        induced subgraphs of the graph, for every S, T below on every
+        X(a, k, c) with a, k, c <= 4; within the centers they are also the
+        closed forms of char_poly_suite."""
+        for a, k, c in itertools.product(range(1, 5), repeat=3):
+            D, X = stellar_decompose(a, k, c), build_stellar(a, k, c)
+            n = D.n
+            sides = [{0}, {1}, {0, 1}, {2}, {n - 1}, {0, 2}, {1, n - 1},
+                     {2, 3}, {2 + a, n - 1}, {0, 1, 2}]
+            for S, T in itertools.product(sides, repeat=2):
+                report = detect_subset_transfer(D, S, T, 1.0)
+                expected = induced_cospectrality(X, S, T)
+                assert (report.induced_cospectral,
+                        report.complement_cospectral) == expected, \
+                    (a, k, c, S, T)
+            suite = char_poly_suite(a, k, c)
+            minus = {0: suite["phi_minus_0"], 1: suite["phi_minus_1"]}
+            for s, t in itertools.product((0, 1), repeat=2):
+                report = detect_subset_transfer(D, {s}, {t}, 1.0)
+                assert report.induced_cospectral
+                assert report.complement_cospectral == (minus[s] == minus[t])
+
+    def test_fused_star_counts_past_int64(self):
+        """Cells of 10^20 twins: the counts stay exact integers, and the
+        complements of the centers are cospectral exactly when a = c, also
+        where a and c round to one float."""
+        for a, k, c in [(10**20, 10**20, 10**20), (10**20, 10**20, 3 * 10**20),
+                        (2**63, 2**63, 2**63 - 1)]:
+            report = detect_subset_transfer(stellar_decompose(a, k, c), {0},
+                                            {1}, 1.0)
+            assert report.induced_cospectral
+            assert report.complement_cospectral == (a == c), (a, k, c)
 
 
 class TestInducedCospectrality:
