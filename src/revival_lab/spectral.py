@@ -11,12 +11,13 @@ array of size n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, stellar_cells
 from .stellar import StellarAnalysis, analyze
 
 GROUPING_TOL = 1e-9
@@ -27,20 +28,20 @@ _SVD_MIN_VERTICES = 48
 
 class Quotient(NamedTuple):
     """X(a, k, c) over its cells of twins a, {0}, k, {1}, c (path order, an
-    emptied cell left out), then {v} for each requested twin v, ascending.
-    A twin split off its cell is still its twins' twin: the partition is
-    equitable, a vertex of cell i having C[i, j] = ``sizes[j]`` neighbours in
-    a joined cell j (B[i, j] != 0). Column r of ``vectors`` is an eigenvector
-    w_r of B = sqrt(C * C^T), grouped by ``bounds``, with row j divided by
-    sqrt(sizes[j]): Q w_r on cell j. ``cell`` maps each vertex that is a cell
-    of its own to it; its rows of every E_r and of U(t) are rows over the
-    cells (Godsil & Royle, Algebraic Graph Theory, ch. 9)."""
+    emptied cell left out), then {v} for each twin v split off, those of a
+    first, then k's, then c's. A twin split off its cell is still its twins'
+    twin: the partition is equitable, a vertex of cell i having C[i, j] =
+    ``sizes[j]`` neighbours in a joined cell j (B[i, j] != 0). Column r of
+    ``vectors`` is an eigenvector w_r of B = sqrt(C * C^T), grouped by
+    ``bounds``, with row j divided by sqrt(sizes[j]): Q w_r on cell j, whose
+    rows of every E_r and of U(t) are its vertices' (Godsil & Royle,
+    Algebraic Graph Theory, ch. 9). ``centers`` are the cells {0} and {1}."""
 
     vectors: np.ndarray
     bounds: np.ndarray
     B: np.ndarray
     sizes: list[int]
-    cell: dict[int, int]
+    centers: tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +56,9 @@ class SpectralDecomposition:
     of a ``Quotient``, which no reader repeats over the n vertices.
 
     ``memo`` holds results that consumers derive from the decomposition and
-    keep with it (the certifier's gate table, a fused star's five-cell
-    quotient). repr leaves it out, and a ``dataclasses.replace`` copy
-    starts with an empty one.
+    keep with it (the certifier's gate table, a fused star's quotients).
+    repr leaves it out, and a ``dataclasses.replace`` copy starts with an
+    empty one.
 
     Equality and hash are by identity: the factors are arrays, whose
     comparison has no single truth value.
@@ -83,32 +84,41 @@ class SpectralDecomposition:
     def _row_factors(self, rows: list[int] | slice) -> tuple:
         """(V[rows], V, bounds, cols): the dense factors, or a fused star's
         cell vectors. A reader's columns are the rows of V, vertices or
-        cells, and ``cols`` are those of ``rows``."""
+        cells, and ``cols`` are those of ``rows``. A listed vertex outside
+        [0, n) raises IndexError, where numpy would read a negative one
+        from the end."""
+        if not isinstance(rows, slice) and (min(rows) < 0
+                                            or max(rows) >= self.n):
+            raise IndexError(f"vertex out of range for {self.n} vertices")
         if self.exact is None:
             return self.vectors[rows], self.vectors, self.bounds, rows
         if isinstance(rows, slice):
             rows = range(self.n)[rows]
-        q = self._quotient(rows)
-        cells = [q.cell[u] for u in rows]
+        q, cells = self._quotient(rows)
         return q.vectors[cells], q.vectors, q.bounds, cells
 
-    def _quotient(self, rows: Sequence[int]) -> Quotient:
-        """A fused star's quotient with each vertex of ``rows`` a cell of
-        its own: the five cells are kept in ``memo``, a split is rebuilt."""
-        twins = sorted({*rows} - {0, 1})
+    def _quotient(self, rows: Sequence[int]) -> tuple[Quotient, list[int]]:
+        """A fused star's quotient with each vertex of ``rows`` a cell of its
+        own, and the cells of ``rows``. ``memo`` keeps it under the counts
+        of the twins it splits off the cells a, k and c: (0, 0, 0) for five."""
+        twins, e, split = sorted({*rows} - {0, 1}), self.exact, (0, 0, 0)
         if twins:
-            return _stellar_cells(self.exact, twins)
-        q = self.memo.get("quotient")
+            split = tuple(bisect_left(twins, r.stop)
+                          - bisect_left(twins, r.start)
+                          for r in stellar_cells(e.a, e.k, e.c))
+        q = self.memo.get(split)
         if q is None:
-            q = self.memo["quotient"] = _stellar_cells(self.exact, twins)
-        return q
+            q = self.memo[split] = _stellar_cells(e, split)
+        first = len(q.sizes) - len(twins)  # the twins' cells are the last
+        return q, [q.centers[u] if u < 2 else first + bisect_left(twins, u)
+                   for u in rows]
 
     def _cell_counts(self, rows: Sequence[int]) -> np.ndarray:
         """The integer adjacency over the row factors' columns for ``rows``:
         the graph's in int64, or a fused star's C in Python ints."""
         if self.exact is None:
             return self.graph.adjacency().astype(np.int64)
-        q = self._quotient(rows)
+        q = self._quotient(rows)[0]
         return (q.B != 0) * np.array(q.sizes, dtype=object)
 
     def projector_rows(self, rows: list[int] | slice) -> tuple:
@@ -264,17 +274,14 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
         an)
 
 
-def _stellar_cells(an: StellarAnalysis, twins: list[int]) -> Quotient:
-    """The ``Quotient`` of the triple ``an`` analyzed with the ascending
-    non-centers ``twins`` split off. Only the centers have neighbours: {0}
-    in the cells of kinds a and k, {1} in those of kinds k and c."""
-    a, k, c = an.a, an.k, an.c
-    if twins and (twins[0] < 0 or twins[-1] >= a + k + c + 2):
-        raise IndexError(f"vertex out of range for {a + k + c + 2} vertices")
-    kinds = [0 if v < 2 + a else 2 if v < 2 + a + k else 4 for v in twins]
-    left = [a - kinds.count(0), 1, k - kinds.count(2), 1, c - kinds.count(4)]
+def _stellar_cells(an: StellarAnalysis, split: tuple) -> Quotient:
+    """The ``Quotient`` of the triple ``an`` analyzed with the counts
+    ``split`` of twins split off its cells a, k and c. Only the centers have
+    neighbours: {0} in the cells of kinds a and k, {1} in those of k and c."""
+    left = [an.a - split[0], 1, an.k - split[1], 1, an.c - split[2]]
     base = [j for j in range(5) if left[j]]
-    sizes = [size for size in left if size] + [1] * len(twins)
+    kinds = [0] * split[0] + [2] * split[1] + [4] * split[2]
+    sizes = [size for size in left if size] + [1] * len(kinds)
     root = [math.sqrt(size) for size in sizes]
     m, c0, c1 = len(sizes), base.index(1), base.index(3)
     B = np.zeros((m, m))
@@ -282,10 +289,9 @@ def _stellar_cells(an: StellarAnalysis, twins: list[int]) -> Quotient:
     B[c1] = B[:, c1] = [r * (j in (2, 4)) for j, r in zip(base + kinds, root)]
     # eigh ascends; B's spectrum is theta5, theta3, 0 ..., -theta3, -theta5
     W = np.linalg.eigh(B)[1][:, ::-1] / np.array(root)[:, None]
-    cell = {0: c0, 1: c1}
-    cell.update(zip(twins, range(len(base), m)))
     # bounds as an array: readers take its differences at C speed
-    return Quotient(W, np.array((0, 1, 2, m - 2, m - 1, m)), B, sizes, cell)
+    return Quotient(W, np.array((0, 1, 2, m - 2, m - 1, m)), B, sizes,
+                    (c0, c1))
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:

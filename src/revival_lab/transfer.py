@@ -69,8 +69,6 @@ def detect_subset_transfer(D: SpectralDecomposition, S: set[int], T: set[int],
     if not S or not T:
         raise ValueError("subsets must be nonempty")
     union = sorted(S | T)
-    if union[0] < 0 or union[-1] >= D.n:
-        raise ValueError("vertex out of range")
     rows, cols = _transition_cells(D, union, t)
     at = {v: i for i, v in enumerate(union)}
     col = dict(zip(union, cols))

@@ -298,6 +298,21 @@ class TestSubsetCommand:
         assert list(doc)[-1] == "decomposition_warnings"
         assert doc["decomposition_warnings"] == ["gap x", "gap y"]
 
+    @pytest.mark.parametrize("s", ["-1", "99"])
+    @pytest.mark.parametrize("source", ["--graph", "--stellar"])
+    def test_vertex_out_of_range_exit_two(self, tmp_path, capsys, source, s):
+        """A vertex outside the graph is refused where its rows are read,
+        on a graph file (P3) and on a fused star alike."""
+        from referees import build_path
+        path = tmp_path / "p3.json"
+        path.write_text(graph_to_json(build_path(3)))
+        given = str(path) if source == "--graph" else "3,2,6"
+        code, text = run_cli(["subset", source, given, "--s", s, "--t", "0",
+                              "--time", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert "out of range" in err and "Traceback" not in err
+
     def test_empty_file_exit_two(self, tmp_path):
         path = tmp_path / "empty"
         path.write_text("")

@@ -536,8 +536,10 @@ class TestGateTable:
             for pair in ((0, 1), (1, 0), (0, 2), (2, n - 1), (n - 1, 1)):
                 assert block_gates(D, *pair) == reference(D, *pair)
                 quotient += 1
-            # a split quotient is rebuilt each time; the five cells are kept
-            assert list(D.memo) == ["quotient"]
+            # one quotient a split, kept under the counts of the twins it
+            # splits off the cells a, k and c: none, {2}, {2, n - 1}, {n - 1}
+            assert list(D.memo) == [(0, 0, 0), (1, 0, 0), (1, 0, 1),
+                                    (0, 0, 1)]
         assert below > 20 and past > 20 and quotient == 90
         assert repeated == {True, False}
 

@@ -20,7 +20,7 @@ from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
                                   stellar_decompose)
 from revival_lab.stellar import analyze
-from revival_lab.transfer import polygamy_witness
+from revival_lab.transfer import detect_subset_transfer, polygamy_witness
 
 
 class TestDecompose:
@@ -134,9 +134,9 @@ class TestStellarDecompose:
         assert p * p - q * q * d == a * k + c * k + a * c
 
     def test_built_on_analyze_and_lazy_decompose(self, monkeypatch):
-        """The decomposition is built on its analysis; its five-cell
-        quotient when a query first reads the centers' rows, and no dense
-        decomposition ever."""
+        """The decomposition is built on its analysis; each quotient when a
+        query first reads its split, kept under the twins it splits off
+        the cells a, k and c, and no dense decomposition ever."""
         from revival_lab import spectral
         seen = {}
 
@@ -156,10 +156,13 @@ class TestStellarDecompose:
         certify_fr(D, 0, 1)
         assert D.memo == {}
         verify_fr_at(D, 0, 1, 1.0)
-        q = D.memo["quotient"]
-        certify_fr(D, 0, 5)
-        verify_fr_at(D, 2, 30, 1.0)
-        assert D.memo["quotient"] is q and q.cell == {0: 1, 1: 3}
+        q = D.memo[0, 0, 0]
+        assert q.centers == (1, 3) and D._quotient([1, 0]) == (q, [3, 1])
+        certify_fr(D, 0, 5)  # the gate table splits off every twin
+        verify_fr_at(D, 2, 30, 1.0)  # a twin of the cell a and one of c
+        verify_fr_at(D, 31, 3, 1.0)
+        assert list(D.memo) == [(0, 0, 0), (2, 6, 28), "gates", (1, 0, 1)]
+        assert D.memo[0, 0, 0] is q
         assert "decompose" not in seen and D.vectors is None
 
     def test_reconstruction(self):
@@ -308,7 +311,7 @@ class TestStellarQuotient:
                          list(range(n))):
                 cells = split_partition(a, k, c, rows)
                 D = stellar_decompose(a, k, c)
-                q, C = D._quotient(rows), D._cell_counts(rows)
+                (q, cols), C = D._quotient(rows), D._cell_counts(rows)
                 equitable, counts = is_equitable(X, cells)
                 assert equitable and np.array_equal(C, counts)
                 B = symmetrized_quotient(X, cells)
@@ -320,9 +323,8 @@ class TestStellarQuotient:
                 thetas = np.repeat(stellar_decompose(a, k, c).eigenvalues,
                                    np.diff(q.bounds))
                 assert np.abs(B @ W - W * thetas).max() < 1e-9 * thetas[0]
-                assert q.cell == {v: next(j for j, cell in enumerate(cells)
-                                          if cell == {v})
-                                  for v in {0, 1, *rows}}
+                assert cols == [cells.index({v}) for v in rows]
+                assert q.centers == (cells.index({0}), cells.index({1}))
 
     def test_center_queries_never_solve_dense(self, monkeypatch):
         from revival_lab.cli import main
@@ -354,14 +356,47 @@ class TestStellarQuotient:
         verify_fr_at(D, 2, D.n - 1, 1.7)
 
     def test_vertex_out_of_range(self):
-        """A vertex past the n vertices, or a negative one, names no cell:
-        an IndexError, as a dense decomposition's rows raise past n."""
-        D = stellar_decompose(3, 2, 6)
-        for pair in ((0, 13), (2, 20), (-1, 1)):
+        """A vertex past the n vertices, or a negative one, is refused at
+        the row factors with an IndexError, over a fused star's cells and
+        over dense factors alike, where numpy would read -1 from the end."""
+        star = stellar_decompose(3, 2, 6)
+        dense = decompose(build_stellar(3, 2, 6))
+        for D, pair in [(star, (0, 13)), (star, (2, 20)), (star, (-1, 1)),
+                        (dense, (0, 13)), (dense, (-1, 1)),
+                        (decompose(build_path(4)), (-1, 0))]:
             with pytest.raises(IndexError, match="out of range"):
                 verify_fr_at(D, *pair, 1.0)
-        with pytest.raises(IndexError):
-            verify_fr_at(decompose(build_stellar(3, 2, 6)), 0, 13, 1.0)
+            with pytest.raises(IndexError, match="out of range"):
+                D.projector_rows(list(pair))
+
+    def test_one_build_per_split(self, monkeypatch):
+        """A quotient depends only on how many twins it splits off the
+        cells a, k and c, and is built once for them: the ordered pairs of
+        X(20, 30, 40), past the table guard, build at most nine (the
+        centers read none), each kept in memo; a subset report builds one
+        for both its rows and its counts, and the gate table one."""
+        from revival_lab import revival, spectral
+        builds = []
+        real = spectral._stellar_cells
+
+        def counting(an, split):
+            builds.append(split)
+            return real(an, split)
+        monkeypatch.setattr(spectral, "_stellar_cells", counting)
+        D = stellar_decompose(20, 30, 40)
+        assert D.n ** 2 * D.m > revival._TABLE_MAX_ENTRIES
+        for a, b in itertools.permutations(range(D.n), 2):
+            certify_fr(D, a, b)
+        assert len(set(builds)) == len(builds) <= 9
+        assert set(D.memo) == set(builds)
+        builds.clear()
+        detect_subset_transfer(stellar_decompose(1, 100000, 2), {0, 2},
+                               {1, 5}, 1.0)
+        assert builds == [(1, 1, 0)]
+        builds.clear()
+        D = stellar_decompose(3, 2, 6)
+        certify_fr(D, 0, 2)
+        assert builds == [(3, 2, 6)] and "gates" in D.memo
 
 
 class TestBipartiteSolver:
