@@ -4,8 +4,8 @@ matrix U(t) = exp(itA).
 Arbitrary graphs get a numeric symmetric eigen-solve with gap-based
 eigenvalue grouping. Fused-star graphs get closed-form eigenvalues from
 their exact analysis, and every query is answered over their cells of
-twins, with each requested vertex a cell of its own: no eigen-solve or
-array of size n.
+twins, with each requested vertex a cell of its own, whose eigenvectors are
+closed forms too: no eigen-solve at all, and no array of size n.
 """
 
 from __future__ import annotations
@@ -31,17 +31,20 @@ class Quotient(NamedTuple):
     emptied cell left out), then {v} for each twin v split off, those of a
     first, then k's, then c's. A twin split off its cell is still its twins'
     twin: the partition is equitable, a vertex of cell i having C[i, j] =
-    ``sizes[j]`` neighbours in a joined cell j (B[i, j] != 0). Column r of
+    ``sizes[j]`` neighbours in a joined cell j. Column r of
     ``vectors`` is an eigenvector w_r of B = sqrt(C * C^T), grouped by
     ``bounds``, with row j divided by sqrt(sizes[j]): Q w_r on cell j, whose
     rows of every E_r and of U(t) are its vertices' (Godsil & Royle,
-    Algebraic Graph Theory, ch. 9). ``centers`` are the cells {0} and {1}."""
+    Algebraic Graph Theory, ch. 9). The columns are closed forms of the
+    triple (``_stellar_cells``), not an eigen-solve. ``centers`` are the
+    cells {0} and {1}, and ``kinds[j]`` is the place of cell j's vertices
+    on the path a, {0}, k, {1}, c: 0 to 4."""
 
     vectors: np.ndarray
     bounds: np.ndarray
-    B: np.ndarray
     sizes: list[int]
     centers: tuple[int, int]
+    kinds: list[int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +104,9 @@ class SpectralDecomposition:
         """A fused star's quotient with each vertex of ``rows`` a cell of its
         own, and the cells of ``rows``. ``memo`` keeps it under the counts
         of the twins it splits off the cells a, k and c: (0, 0, 0) for five."""
-        twins, e, split = sorted({*rows} - {0, 1}), self.exact, (0, 0, 0)
-        if twins:
+        e, twins, split = self.exact, (), (0, 0, 0)
+        if max(rows) > 1:
+            twins = sorted({*rows} - {0, 1})
             split = tuple(bisect_left(twins, r.stop)
                           - bisect_left(twins, r.start)
                           for r in stellar_cells(e.a, e.k, e.c))
@@ -119,7 +123,9 @@ class SpectralDecomposition:
         if self.exact is None:
             return self.graph.adjacency().astype(np.int64)
         q = self._quotient(rows)[0]
-        return (q.B != 0) * np.array(q.sizes, dtype=object)
+        kinds = np.array(q.kinds)  # joined where adjacent on the path
+        return (abs(kinds[:, None] - kinds) == 1) * np.array(q.sizes,
+                                                             dtype=object)
 
     def projector_rows(self, rows: list[int] | slice) -> tuple:
         """(P, cols): P[i, j, r] = (E_r)_{rows[i], v} for the vertices v of
@@ -246,15 +252,20 @@ def stellar_decompose(a: int, k: int, c: int) -> SpectralDecomposition:
     return _stellar_decomposition(analyze(a, k, c))
 
 
-def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
-    """``stellar_decompose`` of the triple that ``an`` analyzed. The float
-    eigenvalues need no surd: theta5^2 = (mu + sqrt(sigma))/2 and, as
-    theta3^2 theta5^2 = e2 = ak + ck + ac, theta3^2 = 2 e2/(mu + sqrt(sigma)),
-    which does not cancel when theta3 << theta5."""
-    a, k, c = an.a, an.k, an.c
+def _stellar_thetas(an: StellarAnalysis) -> tuple[float, float]:
+    """theta5 and theta3 as floats with no surd: theta5^2 = (mu +
+    sqrt(sigma))/2 and, as theta3^2 theta5^2 = e2 = ak + ck + ac,
+    theta3^2 = 2 e2/(mu + sqrt(sigma)), which does not cancel when
+    theta3 << theta5."""
     big = an.mu + math.sqrt(an.sigma)
-    e2 = a * k + c * k + a * c
-    theta5, theta3 = math.sqrt(big / 2), math.sqrt(2 * e2 / big)
+    e2 = an.a * an.k + an.c * an.k + an.a * an.c
+    return math.sqrt(big / 2), math.sqrt(2 * e2 / big)
+
+
+def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
+    """``stellar_decompose`` of the triple that ``an`` analyzed."""
+    a, k, c = an.a, an.k, an.c
+    theta5, theta3 = _stellar_thetas(an)
     eigenvalues = (theta5, theta3, 0.0, -theta3, -theta5)
     threshold = GROUPING_TOL * max(1.0, theta5)
     # the gaps of the five, as float subtraction gives them
@@ -276,22 +287,67 @@ def _stellar_decomposition(an: StellarAnalysis) -> SpectralDecomposition:
 
 def _stellar_cells(an: StellarAnalysis, split: tuple) -> Quotient:
     """The ``Quotient`` of the triple ``an`` analyzed with the counts
-    ``split`` of twins split off its cells a, k and c. Only the centers have
-    neighbours: {0} in the cells of kinds a and k, {1} in those of k and c."""
-    left = [an.a - split[0], 1, an.k - split[1], 1, an.c - split[2]]
+    ``split`` of twins split off its cells a, k and c, in closed form.
+
+    Only the centers have neighbours: {0} in the cells of kinds a and k,
+    {1} in those of k and c. So B is bipartite, the centers against the
+    rest, and its 2 x (m - 2) block K has K K^T = M = [[a + k, k],
+    [k, k + c]] for every split, as the sizes of one kind's cells add up
+    to a, k or c. With u = (cos phi, sin phi) for theta5^2 and (-sin phi,
+    cos phi) for theta3^2, tan 2 phi = 2k/(a - c), the eigenvectors of
+    +-theta are (u, +-K^T u/theta)/sqrt(2): u/sqrt(2) on the centers and
+    +-u_0, +-(u_0 + u_1) or +-u_1 over theta sqrt(2) on the scaled rows of
+    kinds a, k and c. The eigenvalue 0 is zero on the centers: the cross
+    vector z (1/a, -1/k, 1/c) by kind, z = sqrt(akc/e2), and for each kind
+    of more than one cell a Householder complement of its sqrt(size)
+    vector."""
+    a, k, c = an.a, an.k, an.c
+    left = [a - split[0], 1, k - split[1], 1, c - split[2]]
     base = [j for j in range(5) if left[j]]
-    kinds = [0] * split[0] + [2] * split[1] + [4] * split[2]
-    sizes = [size for size in left if size] + [1] * len(kinds)
-    root = [math.sqrt(size) for size in sizes]
+    kinds = base + [0] * split[0] + [2] * split[1] + [4] * split[2]
+    sizes = [size for size in left if size] + [1] * (len(kinds) - len(base))
     m, c0, c1 = len(sizes), base.index(1), base.index(3)
-    B = np.zeros((m, m))
-    B[c0] = B[:, c0] = [r * (j in (0, 2)) for j, r in zip(base + kinds, root)]
-    B[c1] = B[:, c1] = [r * (j in (2, 4)) for j, r in zip(base + kinds, root)]
-    # eigh ascends; B's spectrum is theta5, theta3, 0 ..., -theta3, -theta5
-    W = np.linalg.eigh(B)[1][:, ::-1] / np.array(root)[:, None]
+    # cos phi and sin phi from the integers d and sigma: of
+    # (rs +- d)/(2 rs), the squares of the two, take the one that does not
+    # cancel, and the other from (rs + d)(rs - d) = 4k^2
+    d, rs = a - c, math.sqrt(an.sigma)
+    big = rs + abs(d)
+    one, other = math.sqrt(big / (2 * rs)), 2 * k / math.sqrt(2 * rs * big)
+    cos, sin = (one, other) if d >= 0 else (other, one)
+    theta5, theta3 = _stellar_thetas(an)
+    h, z = math.sqrt(0.5), math.sqrt(a * k * c / (a * k + c * k + a * c))
+    x5, x3 = h / theta5, h / theta3
+    a5, k5, c5 = cos * x5, (cos + sin) * x5, sin * x5
+    # cos phi - sin phi = cos 2 phi/(cos phi + sin phi), with no cancelling
+    a3, k3, c3 = -sin * x3, d / (rs * (cos + sin)) * x3, cos * x3
+    # the row of W in the columns theta5, theta3, 0, -theta3, -theta5 of
+    # each kind of cell: a, {0}, k, {1}, c
+    row = [(a5, a3, z / a, -a3, -a5),
+           (cos * h, -sin * h, 0.0, -sin * h, cos * h),
+           (k5, k3, -z / k, -k3, -k5),
+           (sin * h, cos * h, 0.0, cos * h, sin * h),
+           (c5, c3, z / c, -c3, -c5)]
+    W = np.array([row[j] for j in kinds])
+    if m > 5:
+        # the rest of the eigenvalue 0: for each kind of more than one
+        # cell, columns 2 ... of the Householder reflection I - w w^T/w_0,
+        # w = v + e_0, of its unit sqrt(size) vector v (its first cell of
+        # size s, then cells of one twin), which maps e_0 to -v. On the
+        # scaled rows that is -1/sqrt(s total) on the first cell, and the
+        # identity less 1/(total + sqrt(s total)) on the others.
+        rest, col = np.zeros((m, m - 5)), 0
+        for kind, total in ((0, a), (2, k), (4, c)):
+            first, *ones = [i for i, j in enumerate(kinds) if j == kind]
+            if ones:
+                p, root = len(ones), math.sqrt(sizes[first] * total)
+                rest[first, col:col + p] = -1 / root
+                rest[ones[0]:ones[0] + p, col:col + p] = \
+                    np.eye(p) - 1 / (total + root)
+                col += p
+        W = np.concatenate([W[:, :3], rest, W[:, 3:]], axis=1)
     # bounds as an array: readers take its differences at C speed
-    return Quotient(W, np.array((0, 1, 2, m - 2, m - 1, m)), B, sizes,
-                    (c0, c1))
+    return Quotient(W, np.array((0, 1, 2, m - 2, m - 1, m)), sizes,
+                    (c0, c1), kinds)
 
 
 def char_poly_suite(a: int, k: int, c: int) -> dict[str, list[int]]:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,48 @@ from revival_lab.graphs import Graph, build_stellar
 from revival_lab.revival import certify_fr, verify_fr_at
 from revival_lab.spectral import (char_poly_suite, decompose,
                                   stellar_decompose)
-from revival_lab.stellar import analyze
+from revival_lab.states import support_graph
+from revival_lab.stellar import analyze, generate_polygamy_triple
 from revival_lab.transfer import detect_subset_transfer, polygamy_witness
+
+
+def eigen_residuals(q, thetas):
+    """||B w_r - theta_r w_r|| for each unit column w_r = Q w_r of a
+    quotient, with Q the sqrt(size) scaling, and B = sqrt(C * C^T) joining
+    the cells whose kinds are adjacent on the path a, {0}, k, {1}, c."""
+    kinds, root = np.array(q.kinds), np.sqrt(np.array(q.sizes, float))
+    B = (abs(kinds[:, None] - kinds) == 1) * np.outer(root, root)
+    W = q.vectors * root[:, None]
+    return np.linalg.norm(B @ W - W * thetas, axis=0)
+
+
+def own_scale(thetas):
+    """|theta|, and 1 for the eigenvalue 0."""
+    return np.where(thetas == 0, 1.0, np.abs(thetas))
+
+
+def exact_kind_rows(a, k, c):
+    """60-digit rows of the quotient's columns theta5, theta3, the cross
+    vector of 0, -theta3 and -theta5 for a cell of each kind a, {0}, k,
+    {1}, c, from the integers of the triple: u = (cos phi, sin phi) with
+    cos 2 phi = (a - c)/sqrt(sigma), (u, +-K^T u/theta)/sqrt(2)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d, k2 = Decimal(a - c), Decimal(4 * k * k)
+        root = (d * d + k2).sqrt()
+        cos, sin = ((root + d) / (2 * root)).sqrt(), \
+            ((root - d) / (2 * root)).sqrt()
+        mu = Decimal(a + 2 * k + c)
+        h = Decimal("0.5").sqrt()
+        x5, x3 = h / ((mu + root) / 2).sqrt(), h / ((mu - root) / 2).sqrt()
+        z = (Decimal(a * k * c) / Decimal(a * k + c * k + a * c)).sqrt()
+        rows = [(cos * x5, -sin * x3, z / a, sin * x3, -cos * x5),
+                (cos * h, -sin * h, 0, -sin * h, cos * h),
+                ((cos + sin) * x5, (cos - sin) * x3, -z / k, (sin - cos) * x3,
+                 -(cos + sin) * x5),
+                (sin * h, cos * h, 0, cos * h, sin * h),
+                (sin * x5, cos * x3, z / c, -cos * x3, -sin * x5)]
+        return [tuple(+Decimal(x) for x in row) for row in rows]
 
 
 class TestDecompose:
@@ -315,32 +356,37 @@ class TestStellarQuotient:
                 equitable, counts = is_equitable(X, cells)
                 assert equitable and np.array_equal(C, counts)
                 B = symmetrized_quotient(X, cells)
-                assert np.array_equal(q.B, B)
                 assert np.array_equal(np.sqrt((C * C.T).astype(float)), B)
                 sizes = np.array([len(cell) for cell in cells])
                 W = q.vectors * np.sqrt(sizes)[:, None]
                 assert np.abs(W.T @ W - np.eye(len(cells))).max() < 1e-12
                 thetas = np.repeat(stellar_decompose(a, k, c).eigenvalues,
                                    np.diff(q.bounds))
-                assert np.abs(B @ W - W * thetas).max() < 1e-9 * thetas[0]
+                residuals = np.linalg.norm(B @ W - W * thetas, axis=0)
+                assert (residuals <= 1e-14 * own_scale(thetas)).all()
                 assert cols == [cells.index({v}) for v in rows]
                 assert q.centers == (cells.index({0}), cells.index({1}))
 
     def test_center_queries_never_solve_dense(self, monkeypatch):
+        """No np.linalg call of any size runs on a fused star: its
+        eigenvalues and its quotients' vectors are all closed forms."""
         from revival_lab.cli import main
 
-        def small_only(name):
-            # a fused star is bipartite: a dense solve may be eigh or svd
-            real = getattr(np.linalg, name)
+        def refused(name):
+            def solve(*args, **kwargs):
+                raise AssertionError(f"np.linalg.{name} on a fused star")
+            return solve
 
-            def solve(A, *args, **kwargs):
-                if max(np.shape(A)) > 10:
-                    raise AssertionError(f"{name} of size {np.shape(A)}")
-                return real(A, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, solve)
-
-        small_only("eigh")
-        small_only("svd")
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, refused(name))
+        small = stellar_decompose(3, 2, 6)
+        assert certify_fr(small, 0, 2).verdict == "none"  # the gate table
+        assert "gates" in small.memo and (3, 2, 6) in small.memo
+        report = detect_subset_transfer(small, {0, 2}, {1, 5}, 1.0)
+        # two edges, whose complements are not cospectral
+        assert report.induced_cospectral and not report.complement_cospectral
+        assert support_graph(small, {0, 2}).loops
         D = stellar_decompose(400, 800, 1200)
         assert analyze(400, 800, 1200).verdict == "no-FR"
         assert certify_fr(D, 0, 1).verdict == "none"
@@ -354,6 +400,7 @@ class TestStellarQuotient:
         # other pairs split their twins off the cells: at most seven
         assert certify_fr(D, 0, 2).verdict == "none"
         verify_fr_at(D, 2, D.n - 1, 1.7)
+        assert (1, 0, 1) in D.memo
 
     def test_vertex_out_of_range(self):
         """A vertex past the n vertices, or a negative one, is refused at
@@ -397,6 +444,85 @@ class TestStellarQuotient:
         D = stellar_decompose(3, 2, 6)
         certify_fr(D, 0, 2)
         assert builds == [(3, 2, 6)] and "gates" in D.memo
+
+
+class TestClosedFormQuotient:
+    """The quotient's vectors are closed forms of the triple: orthonormal
+    eigenvectors of B for every split, accurate entry by entry on triples
+    whose cells differ by many orders of magnitude, and exact enough that
+    the centers read their exact revival."""
+
+    EXTREME = [(1, 1, 10**9), (10**9, 1, 1), (1, 10**15, 2),
+               (10**9, 10**15, 1), (1, 10**15, 10**9), (3, 10**15, 10**9),
+               (24999989999995, 20000010, 25000020000010)]
+
+    @staticmethod
+    def build(a, k, c, split):
+        from revival_lab.spectral import _stellar_cells
+        return _stellar_cells(analyze(a, k, c), split)
+
+    def test_every_split_of_small_triples(self):
+        """Every split of every a, k, c <= 6: W = vectors * sqrt(sizes) is
+        orthonormal, and each column meets B w = theta w within 1e-14 of
+        its own theta (1e-14 for the eigenvalue 0)."""
+        worst = 0.0
+        for a, k, c in itertools.product(range(1, 7), repeat=3):
+            thetas = stellar_decompose(a, k, c).eigenvalues
+            for split in itertools.product(range(a + 1), range(k + 1),
+                                           range(c + 1)):
+                q = self.build(a, k, c, split)
+                W = q.vectors * np.sqrt(np.array(q.sizes, float))[:, None]
+                assert np.abs(W.T @ W - np.eye(len(W))).max() <= 1e-14
+                theta = np.repeat(thetas, np.diff(q.bounds))
+                ratio = eigen_residuals(q, theta) / own_scale(theta)
+                worst = max(worst, ratio.max())
+        assert worst <= 1e-14
+
+    def test_extreme_triples(self):
+        """Cells of 1 to 10^15 twins. Every entry of the columns of
+        +-theta5, +-theta3 and the cross vector of 0 is within 1e-14 of its
+        60-digit value, relatively: no closed form cancels. W is
+        orthonormal within 1e-14. Each residual ||B w - theta w|| is within
+        1e-14 |theta| plus four ulps of ||B|| = theta5, the floor that
+        rounding w to doubles sets: the 60-digit theta3 vector of
+        X(1, 10^15, 2), rounded, has a residual of 3.7e-10 theta3, as rows
+        of B of size sqrt(k) meet its centers' rounding."""
+        for a, k, c in self.EXTREME:
+            exact = exact_kind_rows(a, k, c)
+            thetas = stellar_decompose(a, k, c).eigenvalues
+            for split in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                          (1, 1, 1), (1, min(k, 3), 1),
+                          (min(a, 4), min(k, 4), min(c, 4))]:
+                q = self.build(a, k, c, split)
+                m = len(q.sizes)
+                cols = [0, 1, 2, m - 2, m - 1]
+                for row, kind in zip(q.vectors[:, cols], q.kinds):
+                    for got, want in zip(row.tolist(), exact[kind]):
+                        assert abs(Decimal(got) - want) <= \
+                            Decimal("1e-14") * abs(want), (a, k, c, split)
+                W = q.vectors * np.sqrt(np.array(q.sizes, float))[:, None]
+                assert np.abs(W.T @ W - np.eye(m)).max() <= 1e-14
+                theta = np.repeat(thetas, np.diff(q.bounds))
+                bound = 1e-14 * abs(theta) + 4 * 2.0 ** -52 * thetas[0]
+                assert (eigen_residuals(q, theta) <= bound).all(), (a, k, c)
+
+    def test_centers_read_the_exact_revival(self):
+        """At tau_min the centers' cross amplitude is 2k/sqrt(sigma),
+        rational on a proper triple, within 1e-14, and nothing leaks off
+        the block, on every proper triple with a, k, c <= 40 and on the
+        polygamy triples (5, r): at r = 10^6 an eigh of the five cells read
+        0.8000000000759749 for 0.8."""
+        triples = [t for t in itertools.product(range(1, 41), repeat=3)
+                   if analyze(*t).verdict == "proper-FR"]
+        triples += [generate_polygamy_triple(5, r) for r in (1, 2, 10**3,
+                                                             10**6)]
+        for a, k, c in triples:
+            an = analyze(a, k, c)
+            root = math.isqrt(an.sigma)
+            assert root * root == an.sigma
+            obs = verify_fr_at(stellar_decompose(a, k, c), 0, 1, an.tau_min)
+            assert abs(obs.cross_amplitude - 2 * k / root) <= 1e-14, (a, k, c)
+            assert obs.off_block_norm < 1e-14, (a, k, c)
 
 
 class TestBipartiteSolver:
